@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fuzz chaos bench serve-smoke calibrate-smoke cluster-smoke obs-smoke qos-smoke soak soak-smoke clean
+.PHONY: check build test race vet fuzz chaos bench bench-check bench-compare serve-smoke calibrate-smoke cluster-smoke obs-smoke qos-smoke soak soak-smoke clean
 
-check: vet build test race server-race
+check: vet build test race server-race bench-check
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ race:
 vet:
 	$(GO) vet ./...
 
+# The benchmark is its own module (bench/go.mod), invisible to ./...;
+# everything it compiles against is API, so vet and test it here.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -race ./...
+
 # Short fuzz pass over the collective and matrix targets (seed corpus +
 # 10s of exploration each); not part of check, run before touching the
 # collectives.
@@ -41,20 +47,27 @@ fuzz:
 	$(GO) test ./internal/cluster -run XXX -fuzz FuzzTraceContext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run XXX -fuzz FuzzQoSConfigParse -fuzztime $(FUZZTIME)
 
-# Differential verification harness under fault injection; deterministic
-# for a fixed -seed.
+# Differential verification under fault injection: the conformance
+# catalogue's differential oracle alone; deterministic for a fixed -seed.
 chaos:
-	$(GO) run ./cmd/chaos -seed 1 -cases 12
+	$(GO) run ./cmd/soak -seed 1 -iters 12 -oracles differential
+
+# The smoke targets below drive their daemons with a built stress
+# client (killing `go run` would leave its child alive) and trap
+# EXIT/INT/TERM right after the daemons start, so an interrupted recipe
+# cannot orphan them.
 
 # Boot hmmd, fire one request through the stress client's load-generator
 # mode, and assert a 200 plus a non-empty /metrics scrape.
 SMOKE_ADDR ?= 127.0.0.1:17117
 serve-smoke:
 	$(GO) build -o /tmp/hmmd-smoke ./cmd/hmmd
+	$(GO) build -o /tmp/hmm-stress ./cmd/stress
 	@/tmp/hmmd-smoke -addr $(SMOKE_ADDR) & pid=$$!; \
-	$(GO) run ./cmd/stress -url http://$(SMOKE_ADDR) -requests 1 -c 1 -n 64 -p 64 -smoke; rc=$$?; \
+	trap 'kill $$pid 2>/dev/null' EXIT INT TERM; \
+	/tmp/hmm-stress -url http://$(SMOKE_ADDR) -requests 1 -c 1 -n 64 -p 64 -smoke; rc=$$?; \
 	kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	rm -f /tmp/hmmd-smoke; exit $$rc
+	rm -f /tmp/hmmd-smoke /tmp/hmm-stress; exit $$rc
 
 # Cluster smoke: boot a coordinator and two worker processes, push a
 # concurrent batch through the coordinator's HTTP front-end with the
@@ -66,14 +79,16 @@ CLUSTER_HTTP ?= 127.0.0.1:17217
 CLUSTER_ADDR ?= 127.0.0.1:17218
 cluster-smoke:
 	$(GO) build -o /tmp/hmmd-cluster ./cmd/hmmd
+	$(GO) build -o /tmp/hmm-stress ./cmd/stress
 	@/tmp/hmmd-cluster -role coordinator -addr $(CLUSTER_HTTP) -cluster-addr $(CLUSTER_ADDR) & cpid=$$!; \
 	/tmp/hmmd-cluster -role worker -join $(CLUSTER_ADDR) -addr 127.0.0.1:0 -name w1 -workers 2 & w1pid=$$!; \
 	/tmp/hmmd-cluster -role worker -join $(CLUSTER_ADDR) -addr 127.0.0.1:0 -name w2 -workers 2 & w2pid=$$!; \
-	$(GO) run ./cmd/stress -url http://$(CLUSTER_HTTP) -requests 12 -c 6 -n 192 -p 64 \
+	trap 'kill $$cpid $$w1pid $$w2pid 2>/dev/null' EXIT INT TERM; \
+	/tmp/hmm-stress -url http://$(CLUSTER_HTTP) -requests 12 -c 6 -n 192 -p 64 \
 		-cluster 2 -kill-after 1 -kill-pid $$w1pid -smoke; rc=$$?; \
 	kill -TERM $$cpid $$w2pid 2>/dev/null; kill -KILL $$w1pid 2>/dev/null; \
 	wait $$cpid 2>/dev/null; wait $$w2pid 2>/dev/null; \
-	rm -f /tmp/hmmd-cluster; exit $$rc
+	rm -f /tmp/hmmd-cluster /tmp/hmm-stress; exit $$rc
 
 # Observability smoke: boot hmmd with profiling on, serve one traced
 # request, follow its X-Trace-Id to GET /v1/trace/{id}, validate the
@@ -84,11 +99,13 @@ OBS_ADDR ?= 127.0.0.1:17317
 OBS_TRACE ?= /tmp/hmmd-obs-trace.json
 obs-smoke:
 	$(GO) build -o /tmp/hmmd-obs ./cmd/hmmd
+	$(GO) build -o /tmp/hmm-stress ./cmd/stress
 	@/tmp/hmmd-obs -addr $(OBS_ADDR) -pprof & pid=$$!; \
-	$(GO) run ./cmd/stress -url http://$(OBS_ADDR) -requests 1 -c 1 -n 64 -p 64 \
+	trap 'kill $$pid 2>/dev/null' EXIT INT TERM; \
+	/tmp/hmm-stress -url http://$(OBS_ADDR) -requests 1 -c 1 -n 64 -p 64 \
 		-smoke -trace-out $(OBS_TRACE) -pprof-check; rc=$$?; \
 	kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	rm -f /tmp/hmmd-obs; exit $$rc
+	rm -f /tmp/hmmd-obs /tmp/hmm-stress; exit $$rc
 
 # QoS smoke: boot a coordinator (with the sample multi-tenant policy)
 # and two workers, then race a paced interactive tenant against an
@@ -100,15 +117,17 @@ QOS_ADDR ?= 127.0.0.1:17418
 QOS_CONF ?= cmd/hmmd/testdata/qos.json
 qos-smoke:
 	$(GO) build -o /tmp/hmmd-qos ./cmd/hmmd
+	$(GO) build -o /tmp/hmm-stress ./cmd/stress
 	@/tmp/hmmd-qos -role coordinator -addr $(QOS_HTTP) -cluster-addr $(QOS_ADDR) \
 		-qos $(QOS_CONF) -workers 2 -queue 8 & cpid=$$!; \
 	/tmp/hmmd-qos -role worker -join $(QOS_ADDR) -addr 127.0.0.1:0 -name w1 -workers 2 -qos $(QOS_CONF) & w1pid=$$!; \
 	/tmp/hmmd-qos -role worker -join $(QOS_ADDR) -addr 127.0.0.1:0 -name w2 -workers 2 -qos $(QOS_CONF) & w2pid=$$!; \
-	$(GO) run ./cmd/stress -url http://$(QOS_HTTP) -requests 24 -c 8 -n 192 -p 64 \
+	trap 'kill $$cpid $$w1pid $$w2pid 2>/dev/null' EXIT INT TERM; \
+	/tmp/hmm-stress -url http://$(QOS_HTTP) -requests 24 -c 8 -n 192 -p 64 \
 		-tenants "paced:interactive:20,flood:best-effort:0" -assert-success paced:0.95 -smoke; rc=$$?; \
 	kill -TERM $$cpid $$w1pid $$w2pid 2>/dev/null; \
 	wait $$cpid 2>/dev/null; wait $$w1pid 2>/dev/null; wait $$w2pid 2>/dev/null; \
-	rm -f /tmp/hmmd-qos; exit $$rc
+	rm -f /tmp/hmmd-qos /tmp/hmm-stress; exit $$rc
 
 # Run the calibration pipeline end to end on a small grid and require
 # a valid, assertion-clean profile: the fit must stay within a generous
@@ -142,27 +161,16 @@ SOAK_DIR ?= soak-artifacts
 soak:
 	$(GO) run ./cmd/soak -seed $(SOAK_SEED) -budget $(SOAK_BUDGET) -repros $(SOAK_DIR)
 
-# Performance snapshot: the hot-path benchmark families (local GEMM
-# kernel, emulator throughput, region-map sweeps, packed-kernel micro
-# benches) into BENCH_kernel.json, plus the collective scaling
-# trajectory (broadcast / all-gather / reduce-scatter at p=8 and p=64)
-# into BENCH_collectives.json, plus the steady-state serving trajectory
-# (warm machine pool vs cold per-request machines at p=64, HTTP and
-# scheduler-direct, with req/s metrics) into BENCH_serving.json.
-# BENCHTIME=1x gives a cheap CI smoke; the default gives stable numbers.
-BENCHTIME ?= 0.5s
+# The repo's benchmark (BENCHMARK.json): five workloads, end-to-end and
+# per-layer metrics, written to bench/out/result.json (~2.5 min; see
+# bench/README.md). bench-compare checks result B against result A
+# under BENCHMARK.json's bounds; A and B may be comma-separated lists,
+# compared by their medians.
 bench:
-	( $(GO) test -run XXX -bench '^BenchmarkLocalMatMul$$|^BenchmarkEmulatorThroughput$$|^BenchmarkFig13|^BenchmarkFig14' \
-		-benchmem -benchtime $(BENCHTIME) . ; \
-	  $(GO) test -run XXX -bench '^BenchmarkMulAdd|^BenchmarkTranspose' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/matrix ) \
-	| $(GO) run ./cmd/bench2json -o BENCH_kernel.json
-	$(GO) test -run XXX -bench '^BenchmarkCollective_' -benchtime $(BENCHTIME) . \
-	| $(GO) run ./cmd/bench2json -o BENCH_collectives.json
-	$(GO) test -run XXX -bench '^BenchmarkServe_' -benchtime $(BENCHTIME) ./internal/server \
-	| $(GO) run ./cmd/bench2json -o BENCH_serving.json
-	$(GO) test -run XXX -bench '^BenchmarkCluster_' -benchtime $(BENCHTIME) ./internal/cluster \
-	| $(GO) run ./cmd/bench2json -o BENCH_cluster.json
+	bash bench/run.sh
+
+bench-compare:
+	bash bench/run.sh --compare $(A) $(B)
 
 clean:
 	$(GO) clean ./...

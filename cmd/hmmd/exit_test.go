@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -110,5 +111,47 @@ func TestWorkerJoinFailure(t *testing.T) {
 		"-join-wait", "300ms", "-addr", "127.0.0.1:0"},
 		&out, &out, ready); code != 1 {
 		t.Errorf("unjoinable worker exit = %d, want 1", code)
+	}
+}
+
+// TestWorkerJoinInterruptedBySignal: a worker still retrying a dead
+// coordinator address must leave within a second of SIGTERM rather than
+// sleep out its -join-wait. The signal goes to this process, which is
+// safe only because run installs its handler before the first ready
+// message.
+func TestWorkerJoinInterruptedBySignal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close() // nothing listens here any more: every dial is refused
+
+	var out bytes.Buffer
+	ready := make(chan string, 1)
+	exited := make(chan int, 1)
+	go func() {
+		exited <- run([]string{"-role", "worker", "-join", dead,
+			"-join-wait", "1m", "-addr", "127.0.0.1:0"}, &out, &out, ready)
+	}()
+	select {
+	case <-ready:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never reported its HTTP listener")
+	}
+	start := time.Now()
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exited:
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("worker took %v to leave after SIGTERM, want under 1s", d)
+		}
+		if code != 1 {
+			t.Errorf("never-joined worker exit = %d, want 1\n%s", code, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker kept retrying after SIGTERM")
 	}
 }

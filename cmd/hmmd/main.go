@@ -224,6 +224,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			"path", *qosPath, "tenants", strings.Join(names, ","), "default", c.Default != nil)
 	}
 
+	// Installed before the first ready message: a caller may signal the
+	// moment it hears one.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	var coord *cluster.Coordinator
 	if *role == "coordinator" {
 		var err error
@@ -274,20 +279,22 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			}
 			return res, err
 		}
-		deadline := time.Now().Add(*joinWait)
+		jctx, cancelJoin := context.WithTimeout(ctx, *joinWait)
+		defer cancelJoin()
 		for {
-			wk, err = cluster.Join(context.Background(), *join, cluster.WorkerConfig{
+			wk, err = cluster.Join(jctx, *join, cluster.WorkerConfig{
 				Name: wname, ExecMeta: exec, MaxN: *maxN, MaxP: *maxP,
 				Log: logger, Tracer: tracer,
 			})
 			if err == nil {
 				break
 			}
-			if time.Now().After(deadline) {
+			select {
+			case <-jctx.Done():
 				fmt.Fprintln(stderr, "hmmd:", err)
 				return 1
+			case <-time.After(100 * time.Millisecond):
 			}
-			time.Sleep(100 * time.Millisecond)
 		}
 		go func() { workerErr <- wk.Serve(context.Background()) }()
 	}
@@ -296,8 +303,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		fmt.Fprintln(stderr, "hmmd:", err)

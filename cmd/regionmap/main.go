@@ -35,15 +35,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var pm hypermm.PortModel
-	switch *model {
-	case "oneport", "one", "one-port":
-		pm = hypermm.OnePort
-	case "multiport", "multi", "multi-port":
-		pm = hypermm.MultiPort
-	default:
-		fmt.Fprintf(os.Stderr, "regionmap: unknown model %q\n", *model)
-		os.Exit(1)
+	pm, err := hypermm.ParsePortModel(*model)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "regionmap:", err)
+		os.Exit(2)
 	}
 
 	fig := "Figure 13"

@@ -35,9 +35,10 @@ func main() {
 	)
 	flag.Parse()
 
-	pm := hypermm.OnePort
-	if *ports == "multi" || *ports == "multiport" || *ports == "multi-port" {
-		pm = hypermm.MultiPort
+	pm, err := hypermm.ParsePortModel(*ports)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(2)
 	}
 
 	algs := []hypermm.Algorithm{

@@ -32,37 +32,72 @@ func CheckSquareOperands(A, B *matrix.Dense) (int, error) {
 	return A.Rows, nil
 }
 
-// Grid2DFor returns the 2-D embedding for machine m, checking that p is
-// an even power of two and that q divides n.
-func Grid2DFor(m *simnet.Machine, n int) (hypercube.Grid2D, error) {
-	p := m.P()
+// CheckGrid2D is the integer shape rule of the 2-D family (Simple,
+// Cannon, Fox, 2-D Diagonal): p an even power of two and sqrt(p) | n.
+// The runners enforce it through Grid2DFor; harnesses that must tell
+// "not applicable" from "unexpectedly failed" ask it directly.
+func CheckGrid2D(n, p int) error {
 	d := hypercube.Log2(p)
 	if d%2 != 0 {
-		return hypercube.Grid2D{}, fmt.Errorf("algorithms: p=%d is not a perfect square power of two", p)
+		return fmt.Errorf("algorithms: p=%d is not a perfect square power of two", p)
 	}
-	g := hypercube.NewGrid2D(p)
-	if n%g.Q != 0 {
-		return hypercube.Grid2D{}, fmt.Errorf("algorithms: n=%d not divisible by sqrt(p)=%d", n, g.Q)
+	if q := 1 << (d / 2); n%q != 0 {
+		return fmt.Errorf("algorithms: n=%d not divisible by sqrt(p)=%d", n, q)
 	}
-	return g, nil
+	return nil
 }
 
-// Grid3DFor returns the 3-D embedding for machine m, checking that p is
-// a power of eight and that q^2 divides n (the finest partition any of
-// the 3-D algorithms uses).
-func Grid3DFor(m *simnet.Machine, n int, needQ2 bool) (hypercube.Grid3D, error) {
-	p := m.P()
+// CheckGrid3D is the integer shape rule of the 3-D family: p a power
+// of eight and cbrt(p) | n (DNS, 3-D Diagonal) or, with needQ2,
+// cbrt(p)^2 | n (Berntsen, 3D All-Trans, 3D All — the finest partition
+// any of the 3-D algorithms uses).
+func CheckGrid3D(n, p int, needQ2 bool) error {
 	d := hypercube.Log2(p)
 	if d%3 != 0 {
-		return hypercube.Grid3D{}, fmt.Errorf("algorithms: p=%d is not a perfect cube power of two", p)
+		return fmt.Errorf("algorithms: p=%d is not a perfect cube power of two", p)
 	}
-	g := hypercube.NewGrid3D(p)
-	div := g.Q
+	q := 1 << (d / 3)
+	div := q
 	if needQ2 {
-		div = g.Q * g.Q
+		div = q * q
 	}
 	if n%div != 0 {
-		return hypercube.Grid3D{}, fmt.Errorf("algorithms: n=%d not divisible by %d (cbrt(p)=%d)", n, div, g.Q)
+		return fmt.Errorf("algorithms: n=%d not divisible by %d (cbrt(p)=%d)", n, div, q)
 	}
-	return g, nil
+	return nil
+}
+
+// CheckHJE is HJE's integer shape rule: the 2-D rule plus log sqrt(p)
+// dividing the block edge n/sqrt(p), which HJE slices into that many
+// strips.
+func CheckHJE(n, p int) error {
+	d := hypercube.Log2(p)
+	if d%2 != 0 {
+		return fmt.Errorf("algorithms: HJE needs p a perfect square power of two, got %d", p)
+	}
+	if err := CheckGrid2D(n, p); err != nil {
+		return err
+	}
+	if dd, w := d/2, n>>(d/2); dd > 0 && w%dd != 0 {
+		return fmt.Errorf("algorithms: HJE needs log sqrt(p)=%d to divide the block edge n/sqrt(p)=%d (n >= sqrt(p) log sqrt(p))", dd, w)
+	}
+	return nil
+}
+
+// Grid2DFor returns the 2-D embedding for machine m, checking
+// CheckGrid2D's shape rule.
+func Grid2DFor(m *simnet.Machine, n int) (hypercube.Grid2D, error) {
+	if err := CheckGrid2D(n, m.P()); err != nil {
+		return hypercube.Grid2D{}, err
+	}
+	return hypercube.NewGrid2D(m.P()), nil
+}
+
+// Grid3DFor returns the 3-D embedding for machine m, checking
+// CheckGrid3D's shape rule.
+func Grid3DFor(m *simnet.Machine, n int, needQ2 bool) (hypercube.Grid3D, error) {
+	if err := CheckGrid3D(n, m.P(), needQ2); err != nil {
+		return hypercube.Grid3D{}, err
+	}
+	return hypercube.NewGrid3D(m.P()), nil
 }

@@ -1,8 +1,6 @@
 package algorithms
 
 import (
-	"fmt"
-
 	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
@@ -32,19 +30,12 @@ func HJE(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats,
 		return nil, simnet.RunStats{}, err
 	}
 	p := m.P()
-	cd := hypercube.Log2(p)
-	if cd%2 != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: HJE needs p a perfect square power of two, got %d", p)
+	if err := CheckHJE(n, p); err != nil {
+		return nil, simnet.RunStats{}, err
 	}
-	dd := cd / 2
+	dd := hypercube.Log2(p) / 2
 	q := 1 << dd
-	if n%q != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: n=%d not divisible by sqrt(p)=%d", n, q)
-	}
 	w := n / q
-	if dd > 0 && w%dd != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: HJE needs log sqrt(p)=%d to divide the block edge n/sqrt(p)=%d (n >= sqrt(p) log sqrt(p))", dd, w)
-	}
 
 	node := func(i, j int) int { return i<<dd | j }
 	aIn := make([]*matrix.Dense, p)

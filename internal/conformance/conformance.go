@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"hypermm"
-	"hypermm/internal/verify"
 )
 
 // Options configures one engine run. The zero value plus a Seed is a
@@ -159,7 +158,7 @@ func mix(seed int64, iter int) int64 {
 // artifact cmd/soak attaches next to a failing repro so the schedule
 // that produced the failure can be inspected in chrome://tracing.
 func WriteTrace(c Case, w io.Writer) error {
-	algs := verify.Algorithms(c.N, c.P)
+	algs := Algorithms(c.N, c.P)
 	if len(algs) == 0 {
 		return fmt.Errorf("conformance: no runnable algorithm at n=%d p=%d", c.N, c.P)
 	}

@@ -1,37 +1,14 @@
-// Package verify is the differential verification harness behind
-// cmd/chaos: for a given (n, p, port model, seed, fault plan) tuple it
-// runs every applicable algorithm, cross-checks each distributed product
-// against the serial kernel and against every other algorithm
-// element-wise, and — when the fault plan is empty — checks that the
-// measured communication overhead still reconciles with the paper's
-// Table 2 analytic model.
-//
-// Everything here is deterministic: the operand matrices come from the
-// case seed, the emulator's clocks are reproducible, and fault decisions
-// are a pure function of the plan seed — so a Report (including
-// simulated clocks) is bit-identical across invocations of the same
-// case.
-package verify
+package conformance
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
 	"strings"
 
 	"hypermm"
+	"hypermm/internal/algorithms"
+	"hypermm/internal/hypercube"
 )
-
-// Case is one verification tuple.
-type Case struct {
-	N, P       int
-	Ports      hypermm.PortModel
-	Seed       int64 // operand content seed
-	Ts, Tw, Tc float64
-	Plan       *hypermm.FaultPlan // nil or empty: clean run + cost reconciliation
-	Deadline   float64            // simulated-time budget (0 = none)
-}
 
 // Status classifies one algorithm's outcome on a case.
 type Status int
@@ -82,38 +59,22 @@ type Report struct {
 }
 
 // Runnable reports whether the algorithm's grid embedding and block
-// partition exist for an n x n problem on p processors — the shape
-// preconditions the runners enforce, mirrored here so the harness can
-// distinguish "not applicable" from "unexpectedly failed".
+// partition exist for an n x n problem on p processors — the runners'
+// own shape rule (internal/algorithms), asked up front so the harness
+// can distinguish "not applicable" from "unexpectedly failed".
 func Runnable(alg hypermm.Algorithm, n, p int) bool {
-	if n <= 0 || p <= 0 || p&(p-1) != 0 {
+	if n <= 0 || !hypercube.IsPow2(p) {
 		return false
 	}
-	d := bits.Len(uint(p)) - 1
 	switch alg {
-	case hypermm.Simple, hypermm.Cannon, hypermm.HJE, hypermm.TwoDiag, hypermm.Fox:
-		// sqrt(p) x sqrt(p) mesh, blocks of n/sqrt(p).
-		if d%2 != 0 || n%(1<<(d/2)) != 0 {
-			return false
-		}
-		if alg == hypermm.HJE && d > 2 {
-			// HJE additionally slices each block into log sqrt(p) strips.
-			return (n / (1 << (d / 2))) % (d / 2) == 0
-		}
-		return true
+	case hypermm.Simple, hypermm.Cannon, hypermm.TwoDiag, hypermm.Fox:
+		return algorithms.CheckGrid2D(n, p) == nil
+	case hypermm.HJE:
+		return algorithms.CheckHJE(n, p) == nil
 	case hypermm.DNS, hypermm.ThreeDiag:
-		// cbrt(p)^3 grid, blocks of n/cbrt(p).
-		if d%3 != 0 {
-			return false
-		}
-		return n%(1<<(d/3)) == 0
+		return algorithms.CheckGrid3D(n, p, false) == nil
 	case hypermm.Berntsen, hypermm.AllTrans, hypermm.ThreeAll:
-		// cbrt(p)^3 grid with the finer n/cbrt(p)^2 partition.
-		if d%3 != 0 {
-			return false
-		}
-		q := 1 << (d / 3)
-		return n%(q*q) == 0
+		return algorithms.CheckGrid3D(n, p, true) == nil
 	default:
 		return false
 	}
@@ -130,21 +91,20 @@ func Algorithms(n, p int) []hypermm.Algorithm {
 	return out
 }
 
-// Check runs the case: every runnable algorithm under the plan, each
-// product checked against the serial kernel, all completed products
+// Check is the differential harness behind the "differential" oracle:
+// every runnable algorithm runs under the case's plan, each product is
+// checked against the serial kernel, all completed products are
 // cross-checked pairwise, and — on a clean case — measured communication
-// overhead reconciled against the Table 2 analytic bound.
+// overhead is reconciled against the Table 2 analytic bound. The Report
+// (simulated clocks included) is bit-identical across invocations of
+// the same case.
 func Check(c Case) Report {
-	A := hypermm.RandomMatrix(c.N, c.N, c.Seed*31+1)
-	B := hypermm.RandomMatrix(c.N, c.N, c.Seed*31+2)
+	A, B := c.Operands()
 	want := hypermm.MatMul(A, B)
 	r := Report{Case: c, Tol: tolFor(A, B, c.N), OK: true}
 
 	clean := c.Plan == nil || c.Plan.Empty()
-	cfg := hypermm.Config{
-		P: c.P, Ports: c.Ports, Ts: c.Ts, Tw: c.Tw, Tc: c.Tc,
-		Faults: c.Plan, Deadline: c.Deadline,
-	}
+	cfg := c.faultConfig()
 
 	var completed []struct {
 		alg hypermm.Algorithm
@@ -152,7 +112,7 @@ func Check(c Case) Report {
 	}
 	for _, alg := range Algorithms(c.N, c.P) {
 		o := Outcome{Alg: alg}
-		res, err := hypermm.Run(alg, cfg, A, B)
+		res, err := runDistributed(alg, cfg, A, B)
 		switch {
 		case err == nil:
 			o.Elapsed = res.Elapsed
@@ -217,23 +177,6 @@ func Check(c Case) Report {
 	return r
 }
 
-// tolFor is the scale-aware element tolerance: distributed reductions
-// reorder the n-term dot products, so agreement with the serial kernel
-// is within rounding, not bitwise.
-func tolFor(A, B *hypermm.Matrix, n int) float64 {
-	return 1e-13 * float64(n) * maxAbs(A) * maxAbs(B)
-}
-
-func maxAbs(m *hypermm.Matrix) float64 {
-	mx := 0.0
-	for _, v := range m.Data {
-		if v = math.Abs(v); v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
 // Reconciliation slack against the Table 2 rows. On one-port machines
 // the bandwidth term is tight: the emulator pipelines phases the
 // analysis charges sequentially, so measured b stays at or below
@@ -243,8 +186,8 @@ func maxAbs(m *hypermm.Matrix) float64 {
 // (Simple at n=16, p=64: 2x2 blocks cut 6 ways). The start-up term is
 // looser on both models: HJE's broadcasts are not pipelined, so its
 // measured a exceeds the analytic log-term by a factor growing with p
-// (~2.4x at p=64, ~3.4x at p=256); 4x covers every shape the chaos
-// harness samples while still catching a phase run twice.
+// (~2.4x at p=64, ~3.4x at p=256); 4x covers every shape the
+// generator samples while still catching a phase run twice.
 const (
 	bandSlackOnePort   = 1 + 1e-9
 	bandSlackMultiPort = 1.6
@@ -284,32 +227,17 @@ func reconcile(alg hypermm.Algorithm, c Case, res *hypermm.Result) (string, bool
 }
 
 func faultKind(err error) string {
-	switch {
-	case errors.Is(err, hypermm.ErrLinkDown):
-		return "link-down"
-	case errors.Is(err, hypermm.ErrDeadline):
+	if errors.Is(err, hypermm.ErrDeadline) {
 		return "deadline"
-	default:
-		return "fault"
 	}
+	return "link-down"
 }
 
 // String renders the report deterministically — identical cases yield
-// byte-identical text, which cmd/chaos relies on for reproducible
-// transcripts.
+// byte-identical text.
 func (r Report) String() string {
 	var sb strings.Builder
-	plan := "clean"
-	if c := r.Case; c.Plan != nil && !c.Plan.Empty() {
-		plan = fmt.Sprintf("plan{seed=%d drop=%g dup=%g delay=%g/%g down=%d retries=%d}",
-			c.Plan.Seed, c.Plan.Drop, c.Plan.Dup, c.Plan.DelayProb, c.Plan.DelayTime,
-			len(c.Plan.Down), c.Plan.MaxRetries)
-	}
-	fmt.Fprintf(&sb, "case n=%d p=%d %v seed=%d %s", r.Case.N, r.Case.P, r.Case.Ports, r.Case.Seed, plan)
-	if r.Case.Deadline > 0 {
-		fmt.Fprintf(&sb, " deadline=%g", r.Case.Deadline)
-	}
-	sb.WriteByte('\n')
+	fmt.Fprintf(&sb, "case %v\n", r.Case)
 	for _, o := range r.Outcomes {
 		fmt.Fprintf(&sb, "  %-10s %-8s", o.Alg.Name(), o.Status)
 		if o.Status == OK || (o.Elapsed > 0 && o.Status == Failed) {

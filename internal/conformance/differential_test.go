@@ -1,6 +1,7 @@
-package verify
+package conformance
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,23 +9,23 @@ import (
 )
 
 func cleanCase(n, p int, ports hypermm.PortModel) Case {
-	return Case{N: n, P: p, Ports: ports, Seed: 11, Ts: 150, Tw: 3, Tc: 0.5}
+	return Case{N: n, P: p, Ports: ports, Ts: 150, Tw: 3, Tc: 0.5,
+		Content: ContentRandom, ContentSeed: 11, Scale: 2, PlanKind: PlanClean}
 }
 
 func TestRunnableMatchesRunners(t *testing.T) {
-	// The predicate must agree with the actual runners: every runnable
-	// combination runs; no combination it rejects is secretly fine is not
-	// checked (rejection is conservative by design), but acceptance must
-	// never lie.
-	A := hypermm.RandomMatrix(24, 24, 1)
-	B := hypermm.RandomMatrix(24, 24, 2)
-	for _, p := range []int{4, 8, 16, 64} {
-		for _, alg := range hypermm.Algorithms {
-			if !Runnable(alg, 24, p) {
-				continue
-			}
-			if _, err := hypermm.Run(alg, hypermm.Config{P: p, Ports: hypermm.OnePort, Ts: 1, Tw: 1}, A, B); err != nil {
-				t.Errorf("Runnable(%v, 24, %d) said yes but Run failed: %v", alg, p, err)
+	// The predicate is the runners' own shape rule, so it must agree
+	// with them in both directions: every runnable combination runs and
+	// every rejected one is refused.
+	for _, n := range []int{24, 25, 32, 48} {
+		A := hypermm.RandomMatrix(n, n, 1)
+		B := hypermm.RandomMatrix(n, n, 2)
+		for _, p := range []int{4, 8, 16, 64} {
+			for _, alg := range hypermm.Algorithms {
+				_, err := hypermm.Run(alg, hypermm.Config{P: p, Ports: hypermm.OnePort, Ts: 1, Tw: 1}, A, B)
+				if got := Runnable(alg, n, p); got != (err == nil) {
+					t.Errorf("Runnable(%v, %d, %d) = %v but Run returned %v", alg, n, p, got, err)
+				}
 			}
 		}
 	}
@@ -82,7 +83,7 @@ func TestCheckFaultyRecoversOrFaults(t *testing.T) {
 	// A light plan: every algorithm either recovers (and must still be
 	// correct) or surfaces a typed fault — never a wrong answer.
 	c := cleanCase(24, 8, hypermm.OnePort)
-	c.Plan = &hypermm.FaultPlan{Seed: 9, Drop: 0.08, MaxRetries: 30}
+	c.PlanKind, c.Plan = PlanLight, &hypermm.FaultPlan{Seed: 9, Drop: 0.08, MaxRetries: 30}
 	r := Check(c)
 	if !r.OK {
 		t.Fatalf("light plan produced a hard failure:\n%s", r)
@@ -100,7 +101,7 @@ func TestCheckFaultyRecoversOrFaults(t *testing.T) {
 
 func TestCheckHostilePlanFaultsTyped(t *testing.T) {
 	c := cleanCase(24, 8, hypermm.OnePort)
-	c.Plan = &hypermm.FaultPlan{
+	c.PlanKind, c.Plan = PlanHostile, &hypermm.FaultPlan{
 		Seed:       2,
 		Down:       []hypermm.Window{{Src: -1, Dst: -1, From: 0, To: hypermm.Forever}},
 		MaxRetries: 1,
@@ -118,12 +119,49 @@ func TestCheckHostilePlanFaultsTyped(t *testing.T) {
 
 func TestReportStringDeterministic(t *testing.T) {
 	c := cleanCase(24, 8, hypermm.MultiPort)
-	c.Plan = &hypermm.FaultPlan{Seed: 5, Drop: 0.1, DelayProb: 0.2, DelayTime: 40, MaxRetries: 30}
+	c.PlanKind, c.Plan = PlanMessy, &hypermm.FaultPlan{Seed: 5, Drop: 0.1, DelayProb: 0.2, DelayTime: 40, MaxRetries: 30}
 	a, b := Check(c).String(), Check(c).String()
 	if a != b {
 		t.Fatalf("report text diverged:\n%s\nvs\n%s", a, b)
 	}
 	if !strings.Contains(a, "=> PASS") {
 		t.Fatalf("unexpected verdict:\n%s", a)
+	}
+}
+
+// TestChaosMixCoversRetryAndLinkDown pins the mix `make chaos` runs
+// (cmd/soak -seed 1 -iters 12 -oracles differential): every case must
+// pass, and the sampled plans must have exercised both halves of the
+// fault machinery — some run recovered through the retry path and some
+// hostile plan surfaced a typed ErrLinkDown.
+func TestChaosMixCoversRetryAndLinkDown(t *testing.T) {
+	recovered, faulted := false, false
+	observe := Oracle{Name: "differential", Check: func(c Case) error {
+		r := Check(c)
+		for _, o := range r.Outcomes {
+			if o.Status == OK && o.Retries > 0 {
+				recovered = true
+			}
+			if o.Status == Faulted && errors.Is(o.Err, hypermm.ErrLinkDown) {
+				faulted = true
+			}
+		}
+		if !r.OK {
+			return errors.New(r.String())
+		}
+		return nil
+	}}
+	sum, err := Run(Options{Seed: 1, Iters: 12, Oracles: []Oracle{observe}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range sum.Failures {
+		t.Errorf("iter %d: %v failed:\n%s", f.Iter, f.Case, f.Err)
+	}
+	if !recovered {
+		t.Error("no case recovered through the retry path")
+	}
+	if !faulted {
+		t.Error("no hostile case surfaced ErrLinkDown")
 	}
 }

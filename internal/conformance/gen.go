@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"hypermm"
-	"hypermm/internal/verify"
 )
 
 // ContentKind selects how operand entries are generated. The shrinker
@@ -150,7 +149,7 @@ var (
 func genCase(rng *rand.Rand) Case {
 	p := genPs[rng.Intn(len(genPs))]
 	n := genNs[rng.Intn(len(genNs))]
-	if len(verify.Algorithms(n, p)) == 0 {
+	if len(Algorithms(n, p)) == 0 {
 		n = 48 // divisible for every 2-D and 3-D embedding sampled here
 	}
 	tstw := genTsTw[rng.Intn(len(genTsTw))]

@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"hypermm"
 	"hypermm/internal/cluster"
 	"hypermm/internal/cost"
-	"hypermm/internal/verify"
 )
 
 // runDistributed is the single entry point every oracle uses to run a
@@ -46,7 +44,7 @@ func Oracles() []Oracle {
 			Name: "differential",
 			Doc: "every runnable algorithm matches the serial kernel and every " +
 				"other algorithm; clean cases also reconcile measured counters " +
-				"with the Table 2 analytic model (internal/verify)",
+				"with the Table 2 analytic model",
 			Check: checkDifferential,
 		},
 		{
@@ -64,7 +62,7 @@ func Oracles() []Oracle {
 			Name: "blockcomp",
 			Doc: "block composition: a block-diagonal embedding of two problems " +
 				"multiplies to the block-diagonal of their products",
-			Applies: func(c Case) bool { return len(verify.Algorithms(2*c.N, c.P)) > 0 },
+			Applies: func(c Case) bool { return len(Algorithms(2*c.N, c.P)) > 0 },
 			Check:   checkBlockComp,
 		},
 		{
@@ -113,8 +111,8 @@ func OracleByName(name string) (Oracle, bool) {
 	return Oracle{}, false
 }
 
-// tolFor mirrors internal/verify's scale-aware element tolerance:
-// distributed reductions reorder the n-term dot products, so agreement
+// tolFor is the scale-aware element tolerance: distributed reductions
+// reorder the n-term dot products, so agreement with the serial kernel
 // is within rounding, not bitwise.
 func tolFor(A, B *hypermm.Matrix, n int) float64 {
 	return 1e-13 * float64(n) * maxAbs(A) * maxAbs(B)
@@ -130,23 +128,16 @@ func maxAbs(m *hypermm.Matrix) float64 {
 	return mx
 }
 
-// checkDifferential delegates to the differential harness: serial
-// agreement, pairwise cross-algorithm agreement, typed-fault discipline
-// and (clean cases) Table 2 counter reconciliation.
+// checkDifferential runs the differential harness (differential.go):
+// serial agreement, pairwise cross-algorithm agreement, typed-fault
+// discipline and (clean cases) Table 2 counter reconciliation.
 func checkDifferential(c Case) error {
-	r := verify.Check(verify.Case{
-		N: c.N, P: c.P, Ports: c.Ports, Seed: c.ContentSeed,
-		Ts: c.Ts, Tw: c.Tw, Tc: c.Tc, Plan: c.Plan,
-	})
-	if r.OK {
-		return nil
-	}
-	for _, o := range r.Outcomes {
-		if o.Status == verify.Failed {
+	for _, o := range Check(c).Outcomes {
+		if o.Status == Failed {
 			return fmt.Errorf("%s: %v", o.Alg.Name(), o.Err)
 		}
 	}
-	return errors.New("verify report not OK with no failed outcome")
+	return nil
 }
 
 func checkTranspose(c Case) error {
@@ -154,7 +145,7 @@ func checkTranspose(c Case) error {
 	At, Bt := A.Transpose(), B.Transpose()
 	tol := 2 * tolFor(A, B, c.N)
 	cfg := c.cleanConfig()
-	for _, alg := range verify.Algorithms(c.N, c.P) {
+	for _, alg := range Algorithms(c.N, c.P) {
 		res, err := runDistributed(alg, cfg, A, B)
 		if err != nil {
 			return fmt.Errorf("%s: A·B: %v", alg.Name(), err)
@@ -176,7 +167,7 @@ func checkScaling(c Case) error {
 	As := scaled(A, s)
 	tol := 2 * (1 + math.Abs(s)) * tolFor(A, B, c.N)
 	cfg := c.cleanConfig()
-	for _, alg := range verify.Algorithms(c.N, c.P) {
+	for _, alg := range Algorithms(c.N, c.P) {
 		res, err := runDistributed(alg, cfg, A, B)
 		if err != nil {
 			return fmt.Errorf("%s: A·B: %v", alg.Name(), err)
@@ -221,7 +212,7 @@ func checkBlockComp(c Case) error {
 	C2 := hypermm.MatMul(A2, B2)
 	tol := tolFor(DA, DB, 2*n)
 
-	algs := verify.Algorithms(2*n, c.P)
+	algs := Algorithms(2*n, c.P)
 	if len(algs) > blockCompAlgs {
 		algs = algs[:blockCompAlgs]
 	}
@@ -336,8 +327,8 @@ func toCostAlg(alg hypermm.Algorithm) cost.Alg {
 }
 
 // Slack factors for the simulated-vs-predicted check, matching what
-// internal/verify established empirically: one-port bandwidth is tight,
-// multi-port slicing can go ragged on small blocks, and HJE's
+// the differential harness established empirically: one-port bandwidth
+// is tight, multi-port slicing can go ragged on small blocks, and HJE's
 // unpipelined broadcasts inflate the start-up term by up to ~4x at the
 // machine sizes sampled here. The compute term gets 2x because the
 // analytic 2 n^3 t_c / p assumes perfect balance and no reduction adds,
@@ -355,7 +346,7 @@ func checkSimVsPredicted(c Case) error {
 	A, B := c.Operands()
 	cfg := c.cleanConfig()
 	comp := hypermm.ComputeTime(float64(c.N), float64(c.P), c.Tc)
-	for _, alg := range verify.Algorithms(c.N, c.P) {
+	for _, alg := range Algorithms(c.N, c.P) {
 		a, b, ok := hypermm.Overhead(alg, float64(c.N), float64(c.P), c.Ports)
 		if !ok {
 			continue // stepping stones have no Table 2 row
@@ -387,7 +378,7 @@ func checkSimVsPredicted(c Case) error {
 func checkFaultEquiv(c Case) error {
 	A, B := c.Operands()
 	clean, faulty := c.cleanConfig(), c.faultConfig()
-	for _, alg := range verify.Algorithms(c.N, c.P) {
+	for _, alg := range Algorithms(c.N, c.P) {
 		res0, err := runDistributed(alg, clean, A, B)
 		if err != nil {
 			return fmt.Errorf("%s: clean: %v", alg.Name(), err)
@@ -428,7 +419,7 @@ func checkPoolEquiv(c Case) error {
 	cfg := c.cleanConfig()
 	pool := hypermm.NewMachinePool(1)
 	defer pool.Close()
-	algs := verify.Algorithms(c.N, c.P)
+	algs := Algorithms(c.N, c.P)
 	if len(algs) > poolEquivAlgs {
 		algs = algs[:poolEquivAlgs]
 	}
@@ -513,7 +504,7 @@ func checkClusterEquiv(c Case) error {
 
 	A, B := c.Operands()
 	cfg := c.cleanConfig()
-	algs := verify.Algorithms(c.N, c.P)
+	algs := Algorithms(c.N, c.P)
 	if len(algs) > clusterEquivAlgs {
 		algs = algs[:clusterEquivAlgs]
 	}

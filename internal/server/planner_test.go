@@ -60,6 +60,19 @@ func TestPlanExplicitAlgorithm(t *testing.T) {
 	}
 }
 
+// TestPlanEveryIntegerSizeAtP64 pins a contract the benchmark relies
+// on: bench/probes.go's planner probe plans n = 65, 66, ... at p = 64
+// and fails the whole run on an error, so Plan must answer every
+// integer size there — including the ones no runner accepts.
+func TestPlanEveryIntegerSizeAtP64(t *testing.T) {
+	pl := NewPlanner(1 << 10)
+	for n := 65; n <= 400; n++ {
+		if _, err := pl.Plan(PlanRequest{N: float64(n), P: 64, Ts: 150, Tw: 3, Tc: 0.5, Ports: hypermm.OnePort}); err != nil {
+			t.Fatalf("n=%d p=64: %v", n, err)
+		}
+	}
+}
+
 func TestPlanNoneApplicable(t *testing.T) {
 	pl := NewPlanner(8)
 	if _, err := pl.Plan(PlanRequest{N: 4, P: 128, Ts: 150, Tw: 3, Tc: 0.5, Ports: hypermm.OnePort}); !errors.Is(err, ErrInapplicable) {

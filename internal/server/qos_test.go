@@ -222,21 +222,30 @@ func TestQoSDrainUnderLoadAcrossClasses(t *testing.T) {
 func TestRetryAfterOnSaturation(t *testing.T) {
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
 	hold := make(chan struct{})
-	entered := make(chan struct{}, 4)
+	entered := make(chan struct{}, 2) // one send per held job
 	srv.sched.onExec = func() { entered <- struct{}{}; <-hold }
+	// Cleanups run last-in first-out: hold is released before ts.Close
+	// waits on the held requests, so a failed assertion cannot hang the
+	// test binary.
+	release := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(ts.Close)
+	t.Cleanup(release)
 
-	done := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, _ := postMatmul(t, ts, `{"n": 16, "p": 8}`)
-			_ = resp
-			done <- struct{}{}
-		}()
+	status := make(chan int, 2)
+	post := func() { // off the test goroutine: report, never t.Fatal
+		resp, err := http.Post(ts.URL+"/v1/matmul", "application/json", strings.NewReader(`{"n": 16, "p": 8}`))
+		if err != nil {
+			status <- -1
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
 	}
-	<-entered // one running...
-	waitFor(t, func() bool { return srv.metrics.QueueDepth() == 1 }) // ...one queued
+	go post()
+	<-entered // the worker holds the first job...
+	go post() // ...so the second can only queue, never be refused
+	waitFor(t, func() bool { return srv.metrics.QueueDepth() == 1 })
 
 	resp, data := postMatmul(t, ts, `{"n": 16, "p": 8}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -245,9 +254,10 @@ func TestRetryAfterOnSaturation(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("saturated 429 Retry-After = %q, want a positive whole-second hint", ra)
 	}
-	close(hold)
-	<-done
-	<-done
+	release()
+	if s1, s2 := <-status, <-status; s1 != http.StatusOK || s2 != http.StatusOK {
+		t.Fatalf("held requests finished with %d, %d", s1, s2)
+	}
 }
 
 // quotaConfig builds a QoS policy whose tenant can afford exactly one
