@@ -1,6 +1,44 @@
 package hypermm
 
-import "testing"
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata goldens from the current code")
+
+// TestRegionMapGolden pins Figures 13 and 14 byte for byte: the output
+// of cmd/regionmap -model oneport|multiport at its default grid (four
+// t_s panels at t_w = 3). It guards the region letters, the candidate
+// order and every Table 2 row the candidates use.
+func TestRegionMapGolden(t *testing.T) {
+	for _, pm := range []PortModel{OnePort, MultiPort} {
+		fig := map[PortModel]string{OnePort: "Figure 13", MultiPort: "Figure 14"}[pm]
+		var sb strings.Builder
+		for i, ts := range []float64{150, 50, 10, 2} {
+			fmt.Fprintf(&sb, "%s(%c): t_s=%g, t_w=%g\n", fig, 'a'+i, ts, 3.0)
+			sb.WriteString(RegionMap(pm, ts, 3, 5, 14, 64, 3, 20, 32))
+			sb.WriteByte('\n')
+		}
+		path := filepath.Join("testdata", "regionmap-"+strings.ReplaceAll(pm.String(), "-", "")+".txt")
+		if *update {
+			if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != string(want) {
+			t.Errorf("%v region map differs from %s", pm, path)
+		}
+	}
+}
 
 // Edge cases of the analytic cost API that the hmmd planner relies on:
 // every "no answer" path must report ok=false instead of a bogus number.
