@@ -3,9 +3,14 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fuzz chaos bench bench-check bench-compare serve-smoke calibrate-smoke cluster-smoke obs-smoke qos-smoke soak soak-smoke clean
+.PHONY: check fmt build test race vet fuzz chaos bench bench-check bench-compare serve-smoke calibrate-smoke cluster-smoke obs-smoke qos-smoke soak soak-smoke clean
 
-check: vet build test race server-race bench-check
+check: fmt vet build test race server-race bench-check
+
+# Every tracked Go file (bench/ included) must be gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -30,7 +30,7 @@ func NewCalibratedModel(tsScale, twScale float64, corr map[Algorithm]float64) (*
 		if !(c > 0) {
 			return nil, fmt.Errorf("hypermm: calibration correction for %v must be positive, got %g", alg, c)
 		}
-		inner.Corr[alg.costAlg()] = c
+		inner.Corr[cost.Alg(alg)] = c
 	}
 	return &CalibratedModel{inner: inner}, nil
 }
@@ -46,13 +46,13 @@ func (m *CalibratedModel) costModel() *cost.CalibratedModel {
 // if the algorithm is inapplicable (the analytic Table 3 conditions are
 // unchanged by calibration).
 func (m *CalibratedModel) CommTime(alg Algorithm, n, p, ts, tw float64, ports PortModel) (float64, bool) {
-	return m.costModel().Time(alg.costAlg(), n, p, ts, tw, ports.internal())
+	return m.costModel().Time(cost.Alg(alg), n, p, ts, tw, ports.internal())
 }
 
 // TotalTime is the calibrated communication time plus the perfectly
 // parallel computation time 2 n^3 t_c / p.
 func (m *CalibratedModel) TotalTime(alg Algorithm, n, p, ts, tw, tc float64, ports PortModel) (float64, bool) {
-	return m.costModel().TotalTime(alg.costAlg(), n, p, ts, tw, tc, ports.internal())
+	return m.costModel().TotalTime(cost.Alg(alg), n, p, ts, tw, tc, ports.internal())
 }
 
 // BestAlgorithm returns the algorithm with the least calibrated
@@ -61,8 +61,5 @@ func (m *CalibratedModel) TotalTime(alg Algorithm, n, p, ts, tw, tc float64, por
 func (m *CalibratedModel) BestAlgorithm(n, p, ts, tw float64, ports PortModel) (Algorithm, bool) {
 	pm := ports.internal()
 	best, ok := m.costModel().Best(n, p, ts, tw, pm, cost.DefaultCandidates(pm))
-	if !ok {
-		return 0, false
-	}
-	return fromCostAlg(best), true
+	return Algorithm(best), ok
 }

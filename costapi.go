@@ -13,30 +13,30 @@ import (
 // algorithms, p <= n^(3/2) for Berntsen and the 3-D All family,
 // p <= n^3 for DNS and 3DD).
 func Applicable(alg Algorithm, n, p float64) bool {
-	return cost.Applicable(alg.costAlg(), n, p)
+	return cost.Applicable(cost.Alg(alg), n, p)
 }
 
 // Overhead returns Table 2's communication-overhead coefficients
 // (a, b), where communication time is t_s*a + t_w*b; ok is false if the
 // algorithm is inapplicable at (n, p).
 func Overhead(alg Algorithm, n, p float64, ports PortModel) (a, b float64, ok bool) {
-	return cost.Overhead(alg.costAlg(), n, p, ports.internal())
+	return cost.Overhead(cost.Alg(alg), n, p, ports.internal())
 }
 
 // CommTime evaluates the analytic communication time t_s*a + t_w*b.
 func CommTime(alg Algorithm, n, p, ts, tw float64, ports PortModel) (float64, bool) {
-	return cost.Time(alg.costAlg(), n, p, ts, tw, ports.internal())
+	return cost.Time(cost.Alg(alg), n, p, ts, tw, ports.internal())
 }
 
 // TotalTime is the analytic communication time plus the perfectly
 // parallel computation time 2 n^3 t_c / p.
 func TotalTime(alg Algorithm, n, p, ts, tw, tc float64, ports PortModel) (float64, bool) {
-	return cost.TotalTime(alg.costAlg(), n, p, ts, tw, tc, ports.internal())
+	return cost.TotalTime(cost.Alg(alg), n, p, ts, tw, tc, ports.internal())
 }
 
 // Space returns Table 3's aggregate storage in words.
 func Space(alg Algorithm, n, p float64) (float64, bool) {
-	return cost.Space(alg.costAlg(), n, p)
+	return cost.Space(cost.Alg(alg), n, p)
 }
 
 // RegionMap computes a Figure 13/14-style best-algorithm map over
@@ -59,7 +59,7 @@ func Candidates(ports PortModel) []Algorithm {
 	cas := cost.DefaultCandidates(ports.internal())
 	out := make([]Algorithm, len(cas))
 	for i, ca := range cas {
-		out[i] = fromCostAlg(ca)
+		out[i] = Algorithm(ca)
 	}
 	return out
 }
@@ -72,35 +72,15 @@ func ComputeTime(n, p, tc float64) float64 {
 
 // BestAlgorithm returns the algorithm with the least analytic
 // communication time at (n, p), or ok=false if none applies. The
-// candidate set matches RegionMap's.
+// candidate set matches RegionMap's; the uncalibrated (nil) model ranks.
 func BestAlgorithm(n, p, ts, tw float64, ports PortModel) (Algorithm, bool) {
-	pm := ports.internal()
-	best, bestT, found := Algorithm(0), 0.0, false
-	for _, ca := range cost.DefaultCandidates(pm) {
-		t, ok := cost.Time(ca, n, p, ts, tw, pm)
-		if !ok {
-			continue
-		}
-		if !found || t < bestT {
-			best, bestT, found = fromCostAlg(ca), t, true
-		}
-	}
-	return best, found
-}
-
-func fromCostAlg(ca cost.Alg) Algorithm {
-	for _, a := range Algorithms {
-		if a.costAlg() == ca {
-			return a
-		}
-	}
-	panic("hypermm: unmapped cost algorithm")
+	return (*CalibratedModel)(nil).BestAlgorithm(n, p, ts, tw, ports)
 }
 
 // Efficiency returns the analytic parallel efficiency
 // E = 2 n^3 t_c / (p * T_total) at (n, p).
 func Efficiency(alg Algorithm, n, p, ts, tw, tc float64, ports PortModel) (float64, bool) {
-	return cost.Efficiency(alg.costAlg(), n, p, ts, tw, tc, ports.internal())
+	return cost.Efficiency(cost.Alg(alg), n, p, ts, tw, tc, ports.internal())
 }
 
 // IsoefficiencyN returns the smallest matrix size sustaining the target
@@ -108,14 +88,14 @@ func Efficiency(alg Algorithm, n, p, ts, tw, tc float64, ports PortModel) (float
 // (the paper's reference [5]). Lower growth with p means a more
 // scalable algorithm.
 func IsoefficiencyN(alg Algorithm, p, target, ts, tw, tc float64, ports PortModel) (float64, bool) {
-	return cost.IsoefficiencyN(alg.costAlg(), p, target, ts, tw, tc, ports.internal())
+	return cost.IsoefficiencyN(cost.Alg(alg), p, target, ts, tw, tc, ports.internal())
 }
 
 // CrossoverP finds the smallest machine size in [pLo, pHi] at which
 // algorithm b becomes at least as cheap (in analytic communication
 // time) as algorithm a, or ok=false if none exists in the bracket.
 func CrossoverP(a, b Algorithm, n, ts, tw float64, ports PortModel, pLo, pHi float64) (float64, bool) {
-	return cost.CrossoverP(a.costAlg(), b.costAlg(), n, ts, tw, ports.internal(), pLo, pHi)
+	return cost.CrossoverP(cost.Alg(a), cost.Alg(b), n, ts, tw, ports.internal(), pLo, pHi)
 }
 
 // Aligned reports whether the algorithm's result matrix is distributed
@@ -124,10 +104,6 @@ func CrossoverP(a, b Algorithm, n, ts, tw float64, ports PortModel, pLo, pHi flo
 // whose result layout is its stated drawback, and for the
 // transpose-mismatched operands of 3D All_Trans and 2-D Diagonal).
 func Aligned(alg Algorithm) bool {
-	switch alg {
-	case Simple, Cannon, HJE, Fox, DNS, ThreeDiag, ThreeAll:
-		return true
-	default:
-		return false
-	}
+	e, ok := alg.entry()
+	return ok && e.Aligned
 }

@@ -29,11 +29,10 @@ package hypermm
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
-	"hypermm/internal/algorithms"
-	"hypermm/internal/core"
 	"hypermm/internal/cost"
-	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
 
@@ -69,82 +68,49 @@ type Algorithm int
 // The algorithms of the paper, in its order of presentation. ThreeDiag
 // and ThreeAll are the paper's contributions; TwoDiag and AllTrans are
 // their published stepping stones; the rest are the baselines of
-// Section 3.
+// Section 3. Each is an id in the algorithm table (internal/cost).
 const (
-	Simple Algorithm = iota
-	Cannon
-	HJE
-	Berntsen
-	DNS
-	TwoDiag
-	ThreeDiag
-	AllTrans
-	ThreeAll
+	Simple    = Algorithm(cost.Simple)
+	Cannon    = Algorithm(cost.Cannon)
+	HJE       = Algorithm(cost.HJE)
+	Berntsen  = Algorithm(cost.Berntsen)
+	DNS       = Algorithm(cost.DNS)
+	TwoDiag   = Algorithm(cost.TwoDiag)
+	ThreeDiag = Algorithm(cost.ThreeDiag)
+	AllTrans  = Algorithm(cost.AllTrans)
+	ThreeAll  = Algorithm(cost.ThreeAll)
 	// Fox is the Fox-Otto-Hey broadcast-multiply-roll algorithm — an
 	// extra baseline beyond the paper's Table 2 (its reference [4]).
-	Fox
+	Fox = Algorithm(cost.Fox)
 )
 
 // Algorithms lists every runnable algorithm.
 var Algorithms = []Algorithm{Simple, Cannon, HJE, Berntsen, DNS, TwoDiag, ThreeDiag, AllTrans, ThreeAll, Fox}
 
-// String implements fmt.Stringer with the paper's names.
-func (a Algorithm) String() string { return a.costAlg().String() }
+// entry is the algorithm's row of the algorithm table; ok is false for
+// an id outside it.
+func (a Algorithm) entry() (*cost.Entry, bool) { return cost.Lookup(cost.Alg(a)) }
 
-func (a Algorithm) costAlg() cost.Alg {
-	switch a {
-	case Simple:
-		return cost.Simple
-	case Cannon:
-		return cost.Cannon
-	case HJE:
-		return cost.HJE
-	case Berntsen:
-		return cost.Berntsen
-	case DNS:
-		return cost.DNS
-	case TwoDiag:
-		return cost.TwoDiag
-	case ThreeDiag:
-		return cost.ThreeDiag
-	case AllTrans:
-		return cost.AllTrans
-	case ThreeAll:
-		return cost.ThreeAll
-	case Fox:
-		return cost.Fox
-	default:
-		panic(fmt.Sprintf("hypermm: invalid Algorithm(%d)", int(a)))
+// String implements fmt.Stringer with the paper's names.
+func (a Algorithm) String() string {
+	if e, ok := a.entry(); ok {
+		return e.Title
 	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // ParseAlgorithm resolves a command-line name ("3dall", "cannon", ...)
 // to an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "simple":
-		return Simple, nil
-	case "cannon":
-		return Cannon, nil
-	case "hje":
-		return HJE, nil
-	case "berntsen":
-		return Berntsen, nil
-	case "dns":
-		return DNS, nil
-	case "2dd", "2ddiag", "twodiag":
-		return TwoDiag, nil
-	case "3dd", "3ddiag", "threediag":
-		return ThreeDiag, nil
-	case "3dalltrans", "alltrans":
-		return AllTrans, nil
-	case "3dall", "threeall":
-		return ThreeAll, nil
-	case "fox":
-		return Fox, nil
-	default:
-		return 0, fmt.Errorf("hypermm: unknown algorithm %q (try simple, cannon, hje, berntsen, dns, fox, 2dd, 3dd, alltrans, 3dall)", s)
+	names := make([]string, len(Algorithms))
+	for i, a := range Algorithms {
+		e, _ := a.entry()
+		if s == e.Name || slices.Contains(e.Aliases, s) {
+			return a, nil
+		}
+		names[i] = e.Name
 	}
+	return 0, fmt.Errorf("hypermm: unknown algorithm %q (try %s)", s, strings.Join(names, ", "))
 }
 
 // ParsePortModel resolves a command-line or request name ("one",
@@ -162,62 +128,23 @@ func ParsePortModel(s string) (PortModel, error) {
 
 // Name returns the short command-line name of the algorithm.
 func (a Algorithm) Name() string {
-	switch a {
-	case Simple:
-		return "simple"
-	case Cannon:
-		return "cannon"
-	case HJE:
-		return "hje"
-	case Berntsen:
-		return "berntsen"
-	case DNS:
-		return "dns"
-	case TwoDiag:
-		return "2dd"
-	case ThreeDiag:
-		return "3dd"
-	case AllTrans:
-		return "alltrans"
-	case ThreeAll:
-		return "3dall"
-	case Fox:
-		return "fox"
-	default:
-		return "?"
+	if e, ok := a.entry(); ok {
+		return e.Name
 	}
+	return "?"
 }
 
 // Letter returns the single-letter key used in region maps and
 // calibration diff reports (matches the legend of RegionMap).
-func (a Algorithm) Letter() byte { return a.costAlg().Letter() }
+func (a Algorithm) Letter() byte { return cost.Alg(a).Letter() }
 
-// runner returns the SPMD implementation of the algorithm.
-func (a Algorithm) runner() func(*simnet.Machine, *matrix.Dense, *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	switch a {
-	case Simple:
-		return algorithms.Simple
-	case Cannon:
-		return algorithms.Cannon
-	case HJE:
-		return algorithms.HJE
-	case Berntsen:
-		return algorithms.Berntsen
-	case DNS:
-		return algorithms.DNS
-	case TwoDiag:
-		return core.TwoDiag
-	case ThreeDiag:
-		return core.ThreeDiag
-	case AllTrans:
-		return core.AllTrans
-	case ThreeAll:
-		return core.ThreeAll
-	case Fox:
-		return algorithms.Fox
-	default:
-		panic(fmt.Sprintf("hypermm: invalid Algorithm(%d)", int(a)))
+// runner returns the SPMD implementation of the algorithm, or an error
+// for an id outside the algorithm table.
+func (a Algorithm) runner() (cost.Runner, error) {
+	if e, ok := a.entry(); ok {
+		return e.Run, nil
 	}
+	return nil, fmt.Errorf("hypermm: invalid %v", a)
 }
 
 // Config describes the simulated hypercube multicomputer.

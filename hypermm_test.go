@@ -2,6 +2,7 @@ package hypermm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -52,14 +53,71 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 func TestParseAlgorithmRoundTrip(t *testing.T) {
+	var names []string
 	for _, a := range Algorithms {
-		got, err := ParseAlgorithm(a.Name())
-		if err != nil || got != a {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v", a.Name(), got, err)
+		e, _ := a.entry()
+		names = append(names, a.Name())
+		for _, s := range append([]string{a.Name()}, e.Aliases...) {
+			if got, err := ParseAlgorithm(s); err != nil || got != a {
+				t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", s, got, err, a)
+			}
 		}
 	}
-	if _, err := ParseAlgorithm("nope"); err == nil {
-		t.Error("accepted bogus algorithm name")
+	_, err := ParseAlgorithm("nope")
+	if err == nil {
+		t.Fatal("accepted bogus algorithm name")
+	}
+	if hint := "(try " + strings.Join(names, ", ") + ")"; !strings.HasSuffix(err.Error(), hint) {
+		t.Errorf("error %q does not end with the table's names %q", err, hint)
+	}
+}
+
+// TestOutOfRangeAlgorithm: an id outside the algorithm table has one
+// rule everywhere — placeholder names, ok=false from the cost model, and
+// an error from every run entry point before any machine is built or
+// checked out.
+func TestOutOfRangeAlgorithm(t *testing.T) {
+	A := RandomMatrix(8, 8, 1)
+	pool := NewMachinePool(1)
+	defer pool.Close()
+	// P=12 is itself invalid: the algorithm must be refused first.
+	cfg := Config{P: 12}
+	for _, alg := range []Algorithm{-1, 10, 42} {
+		want := fmt.Sprintf("Algorithm(%d)", int(alg))
+		if got := fmt.Sprintf("%v", alg); got != want || alg.String() != want {
+			t.Errorf("%%v = %q, String() = %q; want %q", got, alg.String(), want)
+		}
+		if alg.Name() != "?" || alg.Letter() != '?' {
+			t.Errorf("%s: Name() = %q, Letter() = %q; want ?", want, alg.Name(), alg.Letter())
+		}
+		_, _, okO := Overhead(alg, 64, 16, MultiPort)
+		_, okC := CommTime(alg, 64, 16, 150, 3, OnePort)
+		_, okT := TotalTime(alg, 64, 16, 150, 3, 0.5, OnePort)
+		_, okS := Space(alg, 64, 16)
+		_, okE := Efficiency(alg, 64, 16, 150, 3, 0.5, OnePort)
+		_, okI := IsoefficiencyN(alg, 16, 0.5, 150, 3, 0.5, OnePort)
+		_, okX := CrossoverP(Cannon, alg, 64, 150, 3, OnePort, 4, 64)
+		if Applicable(alg, 64, 16) || Aligned(alg) || okO || okC || okT || okS || okE || okI || okX {
+			t.Errorf("%s: the cost model answered for an unknown algorithm", want)
+		}
+		runs := map[string]func() error{
+			"Run":       func() error { _, err := Run(alg, cfg, A, A); return err },
+			"RunTraced": func() error { _, _, err := RunTraced(alg, cfg, A, A); return err },
+			"RunOn":     func() error { _, err := pool.RunOn(alg, cfg, A, A); return err },
+			"RunOnTraced": func() error {
+				_, _, err := pool.RunOnTraced(alg, cfg, A, A)
+				return err
+			},
+			"MeasuredOverhead": func() error { _, _, err := MeasuredOverhead(alg, 12, 8, OnePort); return err },
+		}
+		for name, run := range runs {
+			if err := run(); err == nil || !strings.Contains(err.Error(), "invalid "+want) {
+				t.Errorf("%s(%s) = %v; want an invalid-algorithm error", name, want, err)
+			}
+		}
+	}
+	if st := pool.Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("pool checked machines out for unknown algorithms: %+v", st)
 	}
 }
 
@@ -285,7 +343,11 @@ func TestVerificationCatchesCorruptedTransport(t *testing.T) {
 			data[0] += 0.5
 		}
 	}
-	c, _, err := ThreeAll.runner()(m, A.internal(), B.internal())
+	run, err := ThreeAll.runner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := run(m, A.internal(), B.internal())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"hypermm"
-	"hypermm/internal/algorithms"
+	"hypermm/internal/cost"
 	"hypermm/internal/hypercube"
 )
 
@@ -59,25 +59,12 @@ type Report struct {
 }
 
 // Runnable reports whether the algorithm's grid embedding and block
-// partition exist for an n x n problem on p processors — the runners'
-// own shape rule (internal/algorithms), asked up front so the harness
-// can distinguish "not applicable" from "unexpectedly failed".
+// partition exist for an n x n problem on p processors — the runner's
+// own shape rule (its table entry's Shape), asked up front so the
+// harness can distinguish "not applicable" from "unexpectedly failed".
 func Runnable(alg hypermm.Algorithm, n, p int) bool {
-	if n <= 0 || !hypercube.IsPow2(p) {
-		return false
-	}
-	switch alg {
-	case hypermm.Simple, hypermm.Cannon, hypermm.TwoDiag, hypermm.Fox:
-		return algorithms.CheckGrid2D(n, p) == nil
-	case hypermm.HJE:
-		return algorithms.CheckHJE(n, p) == nil
-	case hypermm.DNS, hypermm.ThreeDiag:
-		return algorithms.CheckGrid3D(n, p, false) == nil
-	case hypermm.Berntsen, hypermm.AllTrans, hypermm.ThreeAll:
-		return algorithms.CheckGrid3D(n, p, true) == nil
-	default:
-		return false
-	}
+	e, ok := cost.Lookup(cost.Alg(alg))
+	return ok && n > 0 && hypercube.IsPow2(p) && e.Shape(n, p) == nil
 }
 
 // Algorithms returns every algorithm runnable at (n, p).

@@ -9,6 +9,7 @@ import (
 	"hypermm"
 	"hypermm/internal/cluster"
 	"hypermm/internal/cost"
+	"hypermm/internal/simnet"
 )
 
 // runDistributed is the single entry point every oracle uses to run a
@@ -270,7 +271,7 @@ func checkCostMonotone(c Case) error {
 			if comm < 0 || math.IsNaN(comm) || math.IsInf(comm, 0) {
 				return fmt.Errorf("%s: comm time %g at n=%g not a finite nonnegative number", alg.Name(), comm, n)
 			}
-			regime := costRegime(alg, n, float64(c.P), c.Ports)
+			regime := cost.Regime(cost.Alg(alg), n, float64(c.P), simnet.PortModel(c.Ports))
 			if regime == prevRegime {
 				if comm < prevComm*(1-relTol) {
 					return fmt.Errorf("%s: comm time decreases in n: %g then %g at n=%g", alg.Name(), prevComm, comm, n)
@@ -283,47 +284,6 @@ func checkCostMonotone(c Case) error {
 		}
 	}
 	return nil
-}
-
-// costRegime identifies which Table 2 expression is in force at (n, p):
-// 0 on one-port machines (a single row, monotone in n), and on
-// multi-port machines the index of the bandwidth regime — the one-port
-// fallback, the intermediate 3D All row, or the full-bandwidth row
-// (mirrors the conditions of cost.Overhead).
-func costRegime(alg hypermm.Algorithm, n, p float64, ports hypermm.PortModel) int {
-	if ports == hypermm.OnePort {
-		return 0
-	}
-	if alg == hypermm.Cannon || alg == hypermm.TwoDiag {
-		return 0 // a single multi-port row, no bandwidth branch
-	}
-	if alg == hypermm.ThreeAll {
-		cb := math.Cbrt(p)
-		logcb := math.Log2(cb)
-		switch {
-		case n*n >= math.Pow(p, 4.0/3)*logcb:
-			return 2
-		case n*n >= p*logcb:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if cost.FullBandwidth(toCostAlg(alg), n, p) {
-		return 1
-	}
-	return 0
-}
-
-// toCostAlg maps the public algorithm id onto the cost package's by
-// matching names (the sets are identical by construction).
-func toCostAlg(alg hypermm.Algorithm) cost.Alg {
-	for _, ca := range cost.Algorithms {
-		if ca.String() == alg.String() {
-			return ca
-		}
-	}
-	panic(fmt.Sprintf("conformance: no cost.Alg for %v", alg))
 }
 
 // Slack factors for the simulated-vs-predicted check, matching what

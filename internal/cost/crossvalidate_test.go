@@ -3,7 +3,6 @@ package cost
 import (
 	"testing"
 
-	"hypermm/internal/algorithms"
 	"hypermm/internal/core"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
@@ -14,19 +13,19 @@ import (
 // communication coefficients — obtained by running the real SPMD
 // program with (t_s,t_w) = (1,0) and (0,1) — must not exceed the
 // analytic expressions (which charge phases as sequential worst cases)
-// and must lie within a reasonable factor of them.
+// and must lie within a reasonable factor of them. Each algorithm runs
+// through its table entry's runner.
 
-type runner func(*simnet.Machine, *matrix.Dense, *matrix.Dense) (*matrix.Dense, simnet.RunStats, error)
-
-func measured(t *testing.T, run runner, p, n int, pm simnet.PortModel) (a, b float64) {
+func measured(t *testing.T, alg Alg, p, n int, pm simnet.PortModel) (a, b float64) {
 	t.Helper()
+	e, _ := Lookup(alg)
 	A := matrix.Random(n, n, 21)
 	B := matrix.Random(n, n, 22)
 	for i, cfg := range []struct{ ts, tw float64 }{{1, 0}, {0, 1}} {
 		m := simnet.NewMachine(simnet.Config{P: p, Ports: pm, Ts: cfg.ts, Tw: cfg.tw})
-		_, rs, err := run(m, A, B)
+		_, rs, err := e.Run(m, A, B)
 		if err != nil {
-			t.Fatalf("p=%d n=%d: %v", p, n, err)
+			t.Fatalf("%v p=%d n=%d: %v", alg, p, n, err)
 		}
 		if i == 0 {
 			a = rs.Elapsed
@@ -42,16 +41,15 @@ func TestMeasuredWithinAnalytic(t *testing.T) {
 	const slackLo = 0.45 // pipelining may undercut the sequential bound
 	cases := []struct {
 		alg  Alg
-		run  runner
 		p, n int
 	}{
-		{Simple, algorithms.Simple, 64, 48},
-		{Cannon, algorithms.Cannon, 64, 48},
-		{Berntsen, algorithms.Berntsen, 64, 48},
-		{DNS, algorithms.DNS, 64, 48},
-		{ThreeDiag, core.ThreeDiag, 64, 48},
-		{AllTrans, core.AllTrans, 64, 48},
-		{ThreeAll, core.ThreeAll, 64, 48},
+		{Simple, 64, 48},
+		{Cannon, 64, 48},
+		{Berntsen, 64, 48},
+		{DNS, 64, 48},
+		{ThreeDiag, 64, 48},
+		{AllTrans, 64, 48},
+		{ThreeAll, 64, 48},
 	}
 	for _, pm := range []simnet.PortModel{simnet.OnePort, simnet.MultiPort} {
 		for _, tc := range cases {
@@ -59,7 +57,7 @@ func TestMeasuredWithinAnalytic(t *testing.T) {
 			if !ok {
 				t.Fatalf("%v: analytic model says inapplicable at p=%d n=%d", tc.alg, tc.p, tc.n)
 			}
-			aM, bM := measured(t, tc.run, tc.p, tc.n, pm)
+			aM, bM := measured(t, tc.alg, tc.p, tc.n, pm)
 			if aM > aA*slackHi+1e-9 || aM < aA*slackLo {
 				t.Errorf("%v %v: measured a=%g vs analytic %g", tc.alg, pm, aM, aA)
 			}
@@ -78,7 +76,7 @@ func TestMeasuredHJEMultiPort(t *testing.T) {
 	if !ok {
 		t.Fatal("HJE inapplicable")
 	}
-	aM, bM := measured(t, algorithms.HJE, p, n, simnet.MultiPort)
+	aM, bM := measured(t, HJE, p, n, simnet.MultiPort)
 	if aM > aA*1.01+1e-9 || aM < aA*0.45 {
 		t.Errorf("HJE measured a=%g vs analytic %g", aM, aA)
 	}
@@ -95,28 +93,20 @@ func TestMeasuredOrderingMatchesAnalytic(t *testing.T) {
 	const ts, tw = 30.0, 1.0
 	A := matrix.Random(n, n, 31)
 	B := matrix.Random(n, n, 32)
-	algs := []struct {
-		alg Alg
-		run runner
-	}{
-		{Cannon, algorithms.Cannon},
-		{Berntsen, algorithms.Berntsen},
-		{ThreeDiag, core.ThreeDiag},
-		{ThreeAll, core.ThreeAll},
-	}
 	type res struct {
 		alg                Alg
 		measured, analytic float64
 	}
 	var rs []res
-	for _, a := range algs {
+	for _, alg := range []Alg{Cannon, Berntsen, ThreeDiag, ThreeAll} {
+		e, _ := Lookup(alg)
 		m := simnet.NewMachine(simnet.Config{P: p, Ports: simnet.OnePort, Ts: ts, Tw: tw})
-		_, st, err := a.run(m, A, B)
+		_, st, err := e.Run(m, A, B)
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, _ := Time(a.alg, n, p, ts, tw, simnet.OnePort)
-		rs = append(rs, res{a.alg, st.Elapsed, an})
+		an, _ := Time(alg, n, p, ts, tw, simnet.OnePort)
+		rs = append(rs, res{alg, st.Elapsed, an})
 	}
 	// The analytic winner (3D All) must also win the measurement.
 	bestM, bestA := 0, 0
@@ -164,7 +154,7 @@ func TestMeasuredFox(t *testing.T) {
 		if !ok {
 			t.Fatal("Fox inapplicable")
 		}
-		aM, bM := measured(t, algorithms.Fox, p, n, pm)
+		aM, bM := measured(t, Fox, p, n, pm)
 		if aM > aA*1.05+1e-9 || aM < aA*0.45 {
 			t.Errorf("Fox %v: measured a=%g vs analytic %g", pm, aM, aA)
 		}

@@ -8,30 +8,7 @@ import (
 	"io"
 )
 
-// Colors for the region-map algorithms, chosen to stay distinguishable
-// in grayscale reproduction too.
-var algColors = map[Alg]color.RGBA{
-	Simple:    {R: 0x88, G: 0x88, B: 0x88, A: 0xff},
-	Cannon:    {R: 0xd6, G: 0x60, B: 0x4f, A: 0xff}, // red-ish
-	HJE:       {R: 0xe8, G: 0xa8, B: 0x3c, A: 0xff}, // amber
-	Berntsen:  {R: 0x7b, G: 0x5c, B: 0xa8, A: 0xff}, // violet
-	DNS:       {R: 0x4f, G: 0x8f, B: 0x8f, A: 0xff}, // teal
-	Fox:       {R: 0xa0, G: 0x52, B: 0x2d, A: 0xff}, // sienna
-	TwoDiag:   {R: 0xc0, G: 0xc0, B: 0x60, A: 0xff},
-	ThreeDiag: {R: 0x3a, G: 0x6e, B: 0xc0, A: 0xff}, // blue
-	AllTrans:  {R: 0x5f, G: 0xb0, B: 0x6a, A: 0xff}, // light green
-	ThreeAll:  {R: 0x1f, G: 0x7a, B: 0x33, A: 0xff}, // green
-}
-
 var inapplicableColor = color.RGBA{R: 0xf2, G: 0xf2, B: 0xf2, A: 0xff}
-
-// Color returns the algorithm's region-map color.
-func (a Alg) Color() color.RGBA {
-	if c, ok := algColors[a]; ok {
-		return c
-	}
-	return color.RGBA{A: 0xff}
-}
 
 // Image renders the region map as a raster image with the given pixel
 // cell size: columns are log2 n ascending left to right, rows log2 p

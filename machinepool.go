@@ -95,22 +95,30 @@ func (p *MachinePool) SetObserver(fn func(hit bool, wait time.Duration)) {
 // machine to the pool. Results — product bytes, simulated Elapsed,
 // CommStats — are identical to Run's.
 func (p *MachinePool) RunOn(alg Algorithm, cfg Config, A, B *Matrix) (*Result, error) {
+	run, err := alg.runner()
+	if err != nil {
+		return nil, err
+	}
 	m, err := p.checkout(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer p.checkin(m)
-	return runOn(m, alg, A, B)
+	return runOn(m, run, A, B)
 }
 
 // RunOnTraced is RunTraced on a pooled machine.
 func (p *MachinePool) RunOnTraced(alg Algorithm, cfg Config, A, B *Matrix) (*Result, *Trace, error) {
+	run, err := alg.runner()
+	if err != nil {
+		return nil, nil, err
+	}
 	m, err := p.checkout(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer p.checkin(m)
-	return runTracedOn(m, alg, A, B)
+	return runTracedOn(m, run, A, B)
 }
 
 // checkout returns a machine matching cfg — warm when one is parked,

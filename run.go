@@ -3,6 +3,7 @@ package hypermm
 import (
 	"fmt"
 
+	"hypermm/internal/cost"
 	"hypermm/internal/simnet"
 )
 
@@ -36,18 +37,22 @@ type Result struct {
 // for free; communication and computation inside the algorithm are
 // charged to the simulated clock; the result is collected for free.
 func Run(alg Algorithm, cfg Config, A, B *Matrix) (*Result, error) {
+	run, err := alg.runner()
+	if err != nil {
+		return nil, err
+	}
 	m, err := newMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runOn(m, alg, A, B)
+	return runOn(m, run, A, B)
 }
 
 // runOn executes one multiplication on an existing machine — freshly
 // built by Run or checked out warm by MachinePool.RunOn; the two paths
 // produce identical results.
-func runOn(m *simnet.Machine, alg Algorithm, A, B *Matrix) (*Result, error) {
-	c, rs, err := alg.runner()(m, A.internal(), B.internal())
+func runOn(m *simnet.Machine, run cost.Runner, A, B *Matrix) (*Result, error) {
+	c, rs, err := run(m, A.internal(), B.internal())
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package hypermm
 import (
 	"io"
 
+	"hypermm/internal/cost"
 	"hypermm/internal/simnet"
 	"hypermm/internal/trace"
 )
@@ -16,19 +17,23 @@ type Trace struct {
 // compute span is recorded in simulated time. Tracing does not change
 // the simulated clocks.
 func RunTraced(alg Algorithm, cfg Config, A, B *Matrix) (*Result, *Trace, error) {
+	run, err := alg.runner()
+	if err != nil {
+		return nil, nil, err
+	}
 	m, err := newMachine(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return runTracedOn(m, alg, A, B)
+	return runTracedOn(m, run, A, B)
 }
 
 // runTracedOn is runOn with event tracing attached to the machine for
 // the duration of the run (MachinePool strips the trace at return).
-func runTracedOn(m *simnet.Machine, alg Algorithm, A, B *Matrix) (*Result, *Trace, error) {
+func runTracedOn(m *simnet.Machine, run cost.Runner, A, B *Matrix) (*Result, *Trace, error) {
 	log := trace.New()
 	m.Cfg.Trace = log
-	res, err := runOn(m, alg, A, B)
+	res, err := runOn(m, run, A, B)
 	if err != nil {
 		return nil, nil, err
 	}
