@@ -55,7 +55,7 @@ fuzz:
 # Differential verification under fault injection: the conformance
 # catalogue's differential oracle alone; deterministic for a fixed -seed.
 chaos:
-	$(GO) run ./cmd/soak -seed 1 -iters 12 -oracles differential
+	$(GO) run ./cmd/hmm soak -seed 1 -iters 12 -oracles differential
 
 # The smoke targets below drive their daemons with a built stress
 # client (killing `go run` would leave its child alive) and trap
@@ -140,7 +140,7 @@ qos-smoke:
 # analytic ones on at least half the cells at both paper settings.
 CALIBRATE_OUT ?= /tmp/hmmd-calibration-smoke.json
 calibrate-smoke:
-	$(GO) run ./cmd/calibrate -ns 16,32 -ps 4,16,64 \
+	$(GO) run ./cmd/hmm calibrate -ns 16,32 -ps 4,16,64 \
 		-assert-maxerr 0.5 -assert-maxdiff 0.5 -o $(CALIBRATE_OUT)
 	@test -s $(CALIBRATE_OUT) || { echo "calibrate-smoke: empty profile"; exit 1; }
 	@rm -f $(CALIBRATE_OUT)
@@ -150,9 +150,9 @@ calibrate-smoke:
 # This is the PR-gate slice of the nightly soak job.
 SOAK_SEED ?= 1
 soak-smoke:
-	$(GO) build -o /tmp/hmm-soak ./cmd/soak
-	/tmp/hmm-soak -seed $(SOAK_SEED) -iters 8 > /tmp/hmm-soak-1.txt
-	/tmp/hmm-soak -seed $(SOAK_SEED) -iters 8 > /tmp/hmm-soak-2.txt
+	$(GO) build -o /tmp/hmm-soak ./cmd/hmm
+	/tmp/hmm-soak soak -seed $(SOAK_SEED) -iters 8 > /tmp/hmm-soak-1.txt
+	/tmp/hmm-soak soak -seed $(SOAK_SEED) -iters 8 > /tmp/hmm-soak-2.txt
 	cmp /tmp/hmm-soak-1.txt /tmp/hmm-soak-2.txt
 	@rm -f /tmp/hmm-soak /tmp/hmm-soak-1.txt /tmp/hmm-soak-2.txt
 
@@ -164,7 +164,7 @@ soak-smoke:
 SOAK_BUDGET ?= 10m
 SOAK_DIR ?= soak-artifacts
 soak:
-	$(GO) run ./cmd/soak -seed $(SOAK_SEED) -budget $(SOAK_BUDGET) -repros $(SOAK_DIR)
+	$(GO) run ./cmd/hmm soak -seed $(SOAK_SEED) -budget $(SOAK_BUDGET) -repros $(SOAK_DIR)
 
 # The repo's benchmark (BENCHMARK.json): five workloads, end-to-end and
 # per-layer metrics, written to bench/out/result.json (~2.5 min; see

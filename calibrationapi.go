@@ -10,7 +10,7 @@ import (
 // the analytic expressions with fitted effective machine parameters
 // (t_s, t_w scale factors) and per-algorithm multiplicative residual
 // corrections. Build one from a calibration profile (internal/calibrate
-// or cmd/calibrate) via NewCalibratedModel. A nil *CalibratedModel is
+// or hmm calibrate) via NewCalibratedModel. A nil *CalibratedModel is
 // the identity: every method falls back to the uncalibrated analytic
 // model.
 type CalibratedModel struct {

@@ -1,118 +1,105 @@
-// Command hmm multiplies two random matrices on a simulated hypercube
-// multicomputer with a chosen algorithm and reports the simulated time,
-// communication counters, and verification against the serial product.
+// Command hmm reproduces the paper offline: it runs algorithms on the
+// simulated hypercube, prints the paper's tables and figures, and
+// drives the conformance soak and the calibration pipeline. `hmm` alone
+// lists the subcommands; `hmm <subcommand> -h` lists a subcommand's flags.
 //
-// Usage:
+//	hmm run -alg 3dall -n 256 -p 64 -ports one -ts 150 -tw 3 -tc 0.5
+//	hmm report > report.md
 //
-//	hmm -alg 3dall -n 256 -p 64 -ports one -ts 150 -tw 3 -tc 0.5
+// Every subcommand exits 0 on success, 1 when the run fails or an
+// assertion trips, and 2 on a usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-
-	"hypermm"
+	"runtime"
+	"sync"
 )
 
-func main() {
-	var (
-		algName = flag.String("alg", "3dall", "algorithm: simple, cannon, hje, berntsen, dns, fox, 2dd, 3dd, alltrans, 3dall, 3dgrid (with -qy), dnscannon (with -s), 3ddcannon (with -s), cannontorus")
-		n       = flag.Int("n", 256, "matrix size n (n x n operands)")
-		p       = flag.Int("p", 64, "number of processors (power of two)")
-		ports   = flag.String("ports", "one", "port model: one or multi")
-		ts      = flag.Float64("ts", 150, "message start-up time t_s")
-		tw      = flag.Float64("tw", 3, "per-word transfer time t_w")
-		tc      = flag.Float64("tc", 0.5, "per-flop compute time t_c")
-		seed    = flag.Int64("seed", 1, "random seed for the operands")
-		verify  = flag.Bool("verify", true, "check the result against the serial product")
-		showTr  = flag.Bool("trace", false, "print a per-node timeline and utilization summary (small p recommended)")
-		qy      = flag.Int("qy", 0, "y extent for -alg 3dgrid (the rectangular 3-D All variant)")
-		sn      = flag.Int("s", 0, "supernode count for -alg dnscannon")
-	)
-	flag.Parse()
+// The exit codes every subcommand returns.
+const exitOK, exitFail, exitUsage = 0, 1, 2
 
-	pm, err := hypermm.ParsePortModel(*ports)
-	if err != nil {
-		fatal(err)
-	}
-
-	A := hypermm.RandomMatrix(*n, *n, *seed)
-	B := hypermm.RandomMatrix(*n, *n, *seed+1)
-	cfg := hypermm.Config{P: *p, Ports: pm, Ts: *ts, Tw: *tw, Tc: *tc}
-
-	var res *hypermm.Result
-	var tr *hypermm.Trace
-	var label string
-	switch *algName {
-	case "3dgrid":
-		if *qy <= 0 {
-			fatal(fmt.Errorf("-alg 3dgrid needs -qy"))
-		}
-		label = fmt.Sprintf("3D All (grid, qy=%d)", *qy)
-		res, err = hypermm.RunThreeAllGrid(cfg, A, B, *qy)
-	case "dnscannon":
-		if *sn <= 0 {
-			fatal(fmt.Errorf("-alg dnscannon needs -s"))
-		}
-		label = fmt.Sprintf("DNS+Cannon (s=%d)", *sn)
-		res, err = hypermm.RunDNSCannon(cfg, A, B, *sn)
-	case "3ddcannon":
-		if *sn <= 0 {
-			fatal(fmt.Errorf("-alg 3ddcannon needs -s"))
-		}
-		label = fmt.Sprintf("3DD+Cannon (s=%d)", *sn)
-		res, err = hypermm.RunThreeDiagCannon(cfg, A, B, *sn)
-	case "cannontorus":
-		label = "Cannon (2-D torus)"
-		res, err = hypermm.RunCannonTorus(cfg, A, B)
-	default:
-		var alg hypermm.Algorithm
-		alg, err = hypermm.ParseAlgorithm(*algName)
-		if err != nil {
-			fatal(err)
-		}
-		label = alg.String()
-		if *showTr {
-			res, tr, err = hypermm.RunTraced(alg, cfg, A, B)
-		} else {
-			res, err = hypermm.Run(alg, cfg, A, B)
-		}
-	}
-	if err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("%s on a %d-processor %v machine, n=%d (t_s=%g t_w=%g t_c=%g)\n",
-		label, *p, pm, *n, *ts, *tw, *tc)
-	fmt.Printf("  simulated time      %12.1f\n", res.Elapsed)
-	if alg, perr := hypermm.ParseAlgorithm(*algName); perr == nil {
-		if t, ok := hypermm.TotalTime(alg, float64(*n), float64(*p), *ts, *tw, *tc, pm); ok {
-			fmt.Printf("  analytic (Table 2)  %12.1f\n", t)
-		}
-	}
-	fmt.Printf("  messages            %12d\n", res.Comm.Msgs)
-	fmt.Printf("  words moved         %12d\n", res.Comm.Words)
-	fmt.Printf("  start-ups (hops)    %12d\n", res.Comm.Startups)
-	fmt.Printf("  flops               %12d\n", res.Comm.Flops)
-	fmt.Printf("  peak space (total)  %12d words\n", res.Comm.PeakWordsTotal)
-
-	if tr != nil {
-		fmt.Println()
-		fmt.Print(tr.Gantt(100))
-		fmt.Println()
-		fmt.Print(tr.Summary())
-	}
-
-	if *verify {
-		if err := hypermm.Verify(A, B, res.C, 1e-8*float64(*n)); err != nil {
-			fatal(err)
-		}
-		fmt.Println("  verification        OK (matches serial product)")
-	}
+// commands is the subcommand table; run dispatches on its names.
+var commands = []struct {
+	name, doc string
+	run       func(args []string, stdout, stderr io.Writer) int
+}{
+	{"run", "multiply two random matrices with one algorithm on the emulator", cmdRun},
+	{"sweep", "measured vs analytic communication time over p or n (Section 5)", cmdSweep},
+	{"regionmap", "best-algorithm region maps (Figures 13 and 14)", cmdRegionMap},
+	{"layout", "block-ownership maps of an algorithm's operands and result", cmdLayout},
+	{"report", "the full reproduction record as markdown (report.md)", cmdReport},
+	{"soak", "seeded conformance soak over the oracle catalogue", cmdSoak},
+	{"calibrate", "fit t_s, t_w and per-algorithm factors to emulator runs", cmdCalibrate},
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hmm:", err)
-	os.Exit(1)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		for _, c := range commands {
+			if c.name == args[0] {
+				return c.run(args[1:], stdout, stderr)
+			}
+		}
+		fmt.Fprintf(stderr, "hmm: unknown subcommand %q\n", args[0])
+	}
+	fmt.Fprintln(stderr, "usage: hmm <subcommand> [flags]")
+	for _, c := range commands {
+		fmt.Fprintf(stderr, "  %-10s %s\n", c.name, c.doc)
+	}
+	return exitUsage
+}
+
+// flags returns a subcommand's flag set, reporting parse errors on
+// stderr instead of exiting.
+func flags(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("hmm "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// fail prints err as subcommand name's one-line error and returns code.
+func fail(stderr io.Writer, name string, code int, err error) int {
+	fmt.Fprintf(stderr, "hmm %s: %v\n", name, err)
+	return code
+}
+
+// parallel evaluates f(0), ..., f(n-1) concurrently over GOMAXPROCS
+// workers and returns the results in index order, so output assembled
+// from them is byte-identical to a serial loop.
+func parallel(n int, f func(i int) string) []string {
+	out := make([]string, n)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			out[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// writeFile creates path, lets write fill it, and closes it, returning
+// the first error of the three.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	hmmd -addr :8080 -workers 4 -queue 16
-//	hmmd -calibration profile.json   # plan with a cmd/calibrate profile
+//	hmmd -calibration profile.json   # plan with an hmm calibrate profile
 //	hmmd -qos qos.json               # multi-tenant weighted-fair QoS
 //
 //	hmmd -role coordinator -addr :8080 -cluster-addr :9000
@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		maxN    = fs.Int("maxn", 1024, "largest accepted matrix size")
 		maxP    = fs.Int("maxp", 4096, "largest accepted machine size")
 		drain   = fs.Duration("drain", 30*time.Second, "shutdown drain budget")
-		calib   = fs.String("calibration", "", "calibration profile JSON (from cmd/calibrate); empty: raw Table 2 model")
+		calib   = fs.String("calibration", "", "calibration profile JSON (from hmm calibrate); empty: raw Table 2 model")
 		qosPath = fs.String("qos", "", "multi-tenant QoS policy JSON (tenants, weights, classes, quotas); empty: single-tenant FIFO")
 
 		role        = fs.String("role", "", `cluster role: "" standalone, "coordinator", or "worker"`)

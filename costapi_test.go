@@ -12,7 +12,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata goldens from the current code")
 
 // TestRegionMapGolden pins Figures 13 and 14 byte for byte: the output
-// of cmd/regionmap -model oneport|multiport at its default grid (four
+// of hmm regionmap -model oneport|multiport at its default grid (four
 // t_s panels at t_w = 3). It guards the region letters, the candidate
 // order and every Table 2 row the candidates use.
 func TestRegionMapGolden(t *testing.T) {

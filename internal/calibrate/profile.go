@@ -30,7 +30,7 @@ type AlgCalibration struct {
 	WorstP          int     `json:"worst_p"`
 }
 
-// Profile is the versioned calibration artifact cmd/calibrate writes
+// Profile is the versioned calibration artifact hmm calibrate writes
 // and cmd/hmmd loads: effective machine parameters plus per-algorithm
 // corrections, with the sweep grid and accuracy statistics that
 // produced them. Marshal output is deterministic (sorted keys, shortest

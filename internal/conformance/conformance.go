@@ -15,7 +15,7 @@ type Options struct {
 	Iters int // generated cases; minimum 1
 
 	// StartIter offsets iteration numbering (and therefore per-iteration
-	// seeds), letting cmd/soak chain time-bounded chunks while keeping
+	// seeds), letting hmm soak chain time-bounded chunks while keeping
 	// every iteration's case a pure function of (Seed, iteration index).
 	StartIter int
 
@@ -40,7 +40,7 @@ type Options struct {
 	Logf func(format string, args ...any)
 
 	// OnFailure, when non-nil, is called with each minimized failure
-	// after its repro (if any) has been persisted — cmd/soak hangs the
+	// after its repro (if any) has been persisted — hmm soak hangs the
 	// Chrome-trace export here.
 	OnFailure func(*Failure)
 }
@@ -155,7 +155,7 @@ func mix(seed int64, iter int) int64 {
 
 // WriteTrace re-runs the first algorithm runnable on the case, clean,
 // with event tracing, and writes the Chrome trace-event JSON — the
-// artifact cmd/soak attaches next to a failing repro so the schedule
+// artifact hmm soak attaches next to a failing repro so the schedule
 // that produced the failure can be inspected in chrome://tracing.
 func WriteTrace(c Case, w io.Writer) error {
 	algs := Algorithms(c.N, c.P)

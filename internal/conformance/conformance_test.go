@@ -27,7 +27,7 @@ func engineTranscript(t *testing.T, opt Options) (string, Summary) {
 }
 
 // TestEngineDeterministic: same seed, same transcript, byte for byte —
-// the property cmd/soak's CI contract is built on.
+// the property hmm soak's CI contract is built on.
 func TestEngineDeterministic(t *testing.T) {
 	opt := Options{Seed: 7, Iters: 4}
 	t1, s1 := engineTranscript(t, opt)
@@ -46,7 +46,7 @@ func TestEngineDeterministic(t *testing.T) {
 // TestEngineCleanSeedsPass is the conformance gate proper: a spread of
 // seeds must clear every oracle. A failure here is a real bug (or an
 // oracle whose tolerance is wrong) — the engine will have shrunk it;
-// reproduce with cmd/soak -seed <seed>.
+// reproduce with hmm soak -seed <seed>.
 func TestEngineCleanSeedsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -130,7 +130,7 @@ func TestReportStringDeterministic(t *testing.T) {
 }
 
 // TestChaosMixCoversRetryAndLinkDown pins the mix `make chaos` runs
-// (cmd/soak -seed 1 -iters 12 -oracles differential): every case must
+// (hmm soak -seed 1 -iters 12 -oracles differential): every case must
 // pass, and the sampled plans must have exercised both halves of the
 // fault machinery — some run recovered through the retry path and some
 // hostile plan surfaced a typed ErrLinkDown.

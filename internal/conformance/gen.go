@@ -4,7 +4,7 @@
 // contents, machine configurations, fault plans), checks them against a
 // library of metamorphic oracles (oracles.go), shrinks any failing case
 // to a minimal counterexample (shrink.go) and persists the result as a
-// replayable JSON repro under testdata/repros/ (repro.go). cmd/soak is
+// replayable JSON repro under testdata/repros/ (repro.go). hmm soak is
 // the CLI driver; Run is the library entry point.
 //
 // Everything is a pure function of the master seed: the same seed

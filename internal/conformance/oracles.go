@@ -333,7 +333,7 @@ func checkSimVsPredicted(c Case) error {
 // recoverable plan: the retry protocol retransmits identical payloads,
 // so the two products must agree exactly — not within tolerance. A plan
 // whose seed happens to drop nothing is a vacuous pass, not a failure;
-// cmd/soak aggregates retry counts across the whole run to prove the
+// hmm soak aggregates retry counts across the whole run to prove the
 // mix exercised the recovery path (see Summary.Retries).
 func checkFaultEquiv(c Case) error {
 	A, B := c.Operands()

@@ -42,7 +42,7 @@ func Equal(a, b Layout) bool {
 }
 
 // Render prints the ownership map, one row per block row (small grids
-// only; intended for cmd/layout and documentation).
+// only; intended for hmm layout and documentation).
 func (l Layout) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s (%d x %d blocks; cell = owning node)\n", l.Name, l.QR, l.QC)
@@ -176,21 +176,28 @@ func berntsenGeom(p int) (int, func(sub, i, j int) int) {
 	}
 }
 
+// gridDims is the processor-grid dimension of each algorithm's layout:
+// p must be q^d processors for a power of two q.
+var gridDims = map[string]int{
+	"simple": 2, "cannon": 2, "hje": 2, "fox": 2, "2dd": 2,
+	"dns": 3, "3dd": 3, "3ddtrans": 3, "3dall": 3, "alltrans": 3, "berntsen": 3,
+}
+
 // For returns the operand/result distributions of the named algorithm
-// ("simple", "cannon", "hje", "fox", "dns", "2dd", "3dd", "alltrans",
-// "3dall", "berntsen") on p processors.
+// ("simple", "cannon", "hje", "fox", "dns", "2dd", "3dd", "3ddtrans",
+// "alltrans", "3dall", "berntsen") on p processors. It rejects a p the
+// algorithm's processor grid cannot take.
 func For(alg string, p int) (Distribution, error) {
+	if d, ok := gridDims[alg]; ok && (!hypercube.IsPow2(p) || hypercube.Log2(p)%d != 0) {
+		return Distribution{}, fmt.Errorf("%s needs p = q^%d processors for a power of two q, got p=%d", alg, d, p)
+	}
 	switch alg {
 	case "simple", "cannon", "fox":
 		l := Block2D("block 2-D", p)
 		return Distribution{Algorithm: alg, A: l, B: l, C: l}, nil
 	case "hje":
 		// HJE uses the binary (non-Gray) mesh embedding.
-		d := hypercube.Log2(p)
-		if d%2 != 0 {
-			return Distribution{}, fmt.Errorf("layout: p=%d not a square", p)
-		}
-		q := 1 << (d / 2)
+		q := 1 << (hypercube.Log2(p) / 2)
 		l := Layout{Name: "block 2-D (binary)", QR: q, QC: q,
 			Owner: func(bi, bj int) int { return bi*q + bj }}
 		return Distribution{Algorithm: alg, A: l, B: l, C: l}, nil
@@ -231,13 +238,11 @@ func For(alg string, p int) (Distribution, error) {
 			}}
 		return Distribution{Algorithm: alg, A: a, B: b, C: a}, nil
 	case "berntsen":
-		g := hypercube.NewGrid3D(p) // validates the cube shape
-		_ = g
 		a := BerntsenOperandA(p)
 		// B mirrors A with rows/columns swapped; for alignment
 		// purposes what matters is that C differs from A.
 		return Distribution{Algorithm: alg, A: a, B: a, C: BerntsenResultC(p)}, nil
 	default:
-		return Distribution{}, fmt.Errorf("layout: unknown algorithm %q", alg)
+		return Distribution{}, fmt.Errorf("unknown algorithm %q", alg)
 	}
 }

@@ -126,6 +126,20 @@ func TestForUnknown(t *testing.T) {
 	}
 }
 
+func TestForRejectsBadP(t *testing.T) {
+	for _, tc := range []struct {
+		alg string
+		p   int
+	}{
+		{"cannon", 8}, {"cannon", 12}, {"hje", 32}, {"2dd", 0},
+		{"3dall", 16}, {"berntsen", 16}, {"3ddtrans", 4}, {"dns", -8},
+	} {
+		if _, err := For(tc.alg, tc.p); err == nil || !strings.Contains(err.Error(), tc.alg+" needs p") {
+			t.Errorf("For(%q, %d) error = %v, want a %q-needs-p error", tc.alg, tc.p, err, tc.alg)
+		}
+	}
+}
+
 func TestThreeDiagTransLayouts(t *testing.T) {
 	d, err := For("3ddtrans", 64)
 	if err != nil {
