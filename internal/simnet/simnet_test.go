@@ -523,6 +523,28 @@ func TestMultiPortRecvSameDimSerializes(t *testing.T) {
 	}
 }
 
+func TestMultiPortRecvPortContention(t *testing.T) {
+	// Nodes 2 and 3 each send 100 words to node 1 of a 2-cube. Both
+	// transfers enter node 1 across dimension 1 (e-cube routes 2 -> 3
+	// -> 1), so they contend for that one receive port: 3's one-hop
+	// transfer (10 + 100) and 2's two-hop one (2*10 + 100) serialize to
+	// 230. Without the receive-port term they would overlap and finish
+	// at 120.
+	m := mach(4, MultiPort, 10, 1, 0)
+	rs := m.Run(func(n *Node) {
+		switch n.ID {
+		case 2, 3:
+			n.Send(1, 1, make([]float64, 100))
+		case 1:
+			n.Recv(3, 1)
+			n.Recv(2, 1)
+		}
+	})
+	if want := 230.0; rs.Elapsed != want {
+		t.Errorf("elapsed = %g, want %g (one receive port per dimension)", rs.Elapsed, want)
+	}
+}
+
 func TestInboxCapOverride(t *testing.T) {
 	m := NewMachine(Config{P: 2, Ports: OnePort, InboxCap: 1})
 	// With capacity 1, a sender run-ahead of 3 messages must still
