@@ -38,7 +38,7 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -race ./...
 
-# Short fuzz pass over the collective and matrix targets (seed corpus +
+# Short fuzz pass over the collective, matrix and layout targets (seed corpus +
 # 10s of exploration each); not part of check, run before touching the
 # collectives.
 FUZZTIME ?= 10s
@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/collective -run XXX -fuzz FuzzReduceShapes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/collective -run XXX -fuzz FuzzReduceScatterShapes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/matrix -run XXX -fuzz FuzzGridBlockRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/layout -run XXX -fuzz FuzzScatterGather -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/calibrate -run XXX -fuzz FuzzProfileParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run XXX -fuzz FuzzTraceContext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run XXX -fuzz FuzzQoSConfigParse -fuzztime $(FUZZTIME)

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"hypermm"
+	"hypermm/internal/cost"
 	"hypermm/internal/layout"
 )
 
@@ -119,7 +120,8 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 // cmdLayout prints the block-ownership maps of an algorithm's operand
 // and result distributions — which processor owns which block — and
 // whether the result is aligned with the operands (the paper's
-// chaining property).
+// chaining property). The maps are the table entry's Dist, the one a
+// run scatters and gathers through.
 func cmdLayout(args []string, stdout, stderr io.Writer) int {
 	fs := flags("layout", stderr)
 	var (
@@ -129,21 +131,22 @@ func cmdLayout(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
-	// 3ddtrans is Section 4.1.1's stepping stone: a layout, not a runnable
-	// algorithm, so it is the one name outside hypermm.Algorithms.
-	name := *algName
+	// 3ddtrans is Section 4.1.1's stepping stone: a runner outside the
+	// algorithm table, so it is the one name resolved here.
+	name, dist := *algName, layout.DiagPlaneTrans
 	if name != "3ddtrans" {
 		alg, err := hypermm.ParseAlgorithm(name)
 		if err != nil {
 			return fail(stderr, "layout", exitUsage, err)
 		}
-		name = alg.Name()
+		e, _ := cost.Lookup(cost.Alg(alg))
+		name, dist = e.Name, e.Dist
 	}
-	d, err := layout.For(name, *p)
+	d, err := dist(*p)
 	if err != nil {
-		return fail(stderr, "layout", exitFail, err)
+		return fail(stderr, "layout", exitFail, fmt.Errorf("%s: %w", name, err))
 	}
-	fmt.Fprintf(stdout, "%s on %d processors\n\n", d.Algorithm, *p)
+	fmt.Fprintf(stdout, "%s on %d processors\n\n", name, *p)
 	fmt.Fprintln(stdout, "A:")
 	fmt.Fprint(stdout, d.A.Render())
 	fmt.Fprintln(stdout, "\nB:")

@@ -41,7 +41,7 @@ import (
 	"time"
 
 	"hypermm"
-	"hypermm/internal/algorithms"
+	"hypermm/internal/cost"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -83,6 +83,7 @@ func main() {
 		}))
 	}
 
+	cannon, _ := cost.Lookup(cost.Cannon)
 	A := matrix.Random(*n, *n, 1)
 	B := matrix.Random(*n, *n, 2)
 	for trial := 0; trial < *trials; trial++ {
@@ -96,7 +97,7 @@ func main() {
 				os.Exit(2)
 			}
 		}()
-		C, _, err := algorithms.Cannon(m, A, B)
+		C, _, err := cannon.Multiply(m, A, B)
 		close(done)
 		if err != nil {
 			fmt.Println("error:", err)

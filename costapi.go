@@ -103,7 +103,13 @@ func CrossoverP(a, b Algorithm, n, ts, tw float64, ports PortModel, pLo, pHi flo
 // Simple, Cannon, HJE, Fox, DNS, 3DD and 3D All; false for Berntsen,
 // whose result layout is its stated drawback, and for the
 // transpose-mismatched operands of 3D All_Trans and 2-D Diagonal).
+// It reads the algorithm's distribution at p = 64, which every grid in
+// the table takes (8^2 and 4^3).
 func Aligned(alg Algorithm) bool {
 	e, ok := alg.entry()
-	return ok && e.Aligned
+	if !ok {
+		return false
+	}
+	d, err := e.Dist(64)
+	return err == nil && d.Aligned()
 }

@@ -142,7 +142,7 @@ func (a Algorithm) Letter() byte { return cost.Alg(a).Letter() }
 // for an id outside the algorithm table.
 func (a Algorithm) runner() (cost.Runner, error) {
 	if e, ok := a.entry(); ok {
-		return e.Run, nil
+		return e.Multiply, nil
 	}
 	return nil, fmt.Errorf("hypermm: invalid %v", a)
 }

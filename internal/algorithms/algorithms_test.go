@@ -1,14 +1,32 @@
-package algorithms
+package algorithms_test
 
 import (
 	"testing"
 
+	"hypermm/internal/cost"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
 
 // Algo is the common algorithm signature under test.
-type Algo func(*simnet.Machine, *matrix.Dense, *matrix.Dense) (*matrix.Dense, simnet.RunStats, error)
+type Algo = cost.Runner
+
+// run returns the algorithm table's runner for a: the entry's node
+// program between a scatter and a gather through its Dist.
+func run(a cost.Alg) Algo {
+	e, _ := cost.Lookup(a)
+	return e.Multiply
+}
+
+// The table runners of this package's node programs.
+var (
+	Simple   = run(cost.Simple)
+	Cannon   = run(cost.Cannon)
+	HJE      = run(cost.HJE)
+	Berntsen = run(cost.Berntsen)
+	DNS      = run(cost.DNS)
+	Fox      = run(cost.Fox)
+)
 
 func newM(p int, pm simnet.PortModel) *simnet.Machine {
 	return simnet.NewMachine(simnet.Config{P: p, Ports: pm, Ts: 10, Tw: 1, Tc: 0.1})
@@ -251,64 +269,5 @@ func TestFoxWorseThanCannonStartups(t *testing.T) {
 	}
 	if fox, cannon := mts(Fox), mts(Cannon); fox <= cannon {
 		t.Errorf("Fox a=%g not above Cannon a=%g", fox, cannon)
-	}
-}
-
-func TestTranspose2D(t *testing.T) {
-	for _, pm := range []simnet.PortModel{simnet.OnePort, simnet.MultiPort} {
-		for _, c := range []struct{ p, n int }{{4, 8}, {16, 16}, {64, 32}} {
-			X := matrix.Random(c.n, c.n, int64(c.p))
-			T, stats, err := Transpose2D(newM(c.p, pm), X)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !matrix.Equal(T, X.Transpose()) {
-				t.Fatalf("p=%d n=%d %v: transpose wrong", c.p, c.n, pm)
-			}
-			if c.p > 1 && stats.TotalMsgs == 0 {
-				t.Error("no messages moved")
-			}
-		}
-	}
-}
-
-func TestTranspose2DDiagonalFree(t *testing.T) {
-	// Diagonal nodes transpose locally: their messages are self-sends
-	// and cost nothing; on p=4 the worst node pays one 2-hop transfer.
-	X := matrix.Random(8, 8, 1)
-	m := simnet.NewMachine(simnet.Config{P: 4, Ports: simnet.OnePort, Ts: 1, Tw: 0})
-	_, rs, err := Transpose2D(m, X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Elapsed != 2 { // nodes (0,1)<->(1,0): Hamming distance 2
-		t.Errorf("transpose elapsed = %g, want 2", rs.Elapsed)
-	}
-}
-
-// TestTransposeEnablesAllTrans demonstrates Section 4.1.1's remedy: a
-// transpose preprocessing step converts identical initial distributions
-// into the mismatched pair All_Trans needs. (The 3-D All algorithm
-// exists precisely to avoid this extra step; here we price it.)
-func TestTransposeEnablesAllTrans(t *testing.T) {
-	// Functional equivalent on the 2-D mesh: C = A * (B^T)^T — i.e.
-	// transpose twice through the network and multiply.
-	const p, n = 16, 16
-	A := matrix.Random(n, n, 1)
-	B := matrix.Random(n, n, 2)
-	Bt, _, err := Transpose2D(newM(p, simnet.OnePort), B)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Btt, _, err := Transpose2D(newM(p, simnet.OnePort), Bt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	C, _, err := Cannon(newM(p, simnet.OnePort), A, Btt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matrix.MaxAbsDiff(C, matrix.Mul(A, B)) > 1e-9 {
-		t.Error("double-transpose round trip broke the product")
 	}
 }

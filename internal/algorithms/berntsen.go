@@ -15,93 +15,29 @@ import (
 // corresponding processors across subcubes sums the cbrt(p) outer
 // products into C. Applicable for p <= n^(3/2).
 //
-// The result is left distributed differently from the operands (each
-// processor holds a 1/cbrt(p) column slice of a C block) — the paper
-// notes this drawback; the collection phase reassembles it.
-func Berntsen(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g3, err := Grid3DFor(m, n, true)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	q := g3.Q
-	dd := hypercube.Log2(q)
+// It runs on layout.Berntsen: subcube m occupies the addresses with
+// Gray(m) in the top log cbrt(p) bits, and node (m; i, j) starts with
+// block (i, j) of A's column group m and of B's row group m. The result
+// is left distributed differently from the operands (each processor
+// holds a 1/cbrt(p) column slice of a C block) — the paper notes this
+// drawback.
+func Berntsen(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	dd := hypercube.Log2(nd.P()) / 3
+	q := 1 << dd
+	i, j := hypercube.GrayRank((nd.ID>>dd)&(q-1)), hypercube.GrayRank(nd.ID&(q-1))
 
-	// Subcube m occupies the addresses with Gray(m) in the top dd bits;
-	// inside, a q x q Cannon mesh over the low 2*dd dimensions.
-	node := func(sub, i, j int) int {
-		return hypercube.Gray(sub)<<(2*dd) | hypercube.Gray(i)<<dd | hypercube.Gray(j)
-	}
-	coords := func(id int) (sub, i, j int) {
-		mask := 1<<dd - 1
-		return hypercube.GrayRank(id >> (2 * dd)),
-			hypercube.GrayRank((id >> dd) & mask),
-			hypercube.GrayRank(id & mask)
-	}
+	// Outer product O_sub = A_.sub x B_sub. via Cannon on the subcube:
+	// a q x q mesh over the low 2*dd dimensions.
+	o := CannonRun(nd, hypercube.Line(nd.ID, 0, dd), hypercube.Line(nd.ID, dd, dd), i, j, q, a, b, 1)
 
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for sub := 0; sub < q; sub++ {
-		aSlab := A.ColGroup(q, sub) // n x n/q
-		bSlab := B.RowGroup(q, sub) // n/q x n
-		for i := 0; i < q; i++ {
-			for j := 0; j < q; j++ {
-				id := node(sub, i, j)
-				aIn[id] = aSlab.GridBlock(q, q, i, j) // (n/q) x (n/q^2)
-				bIn[id] = bSlab.GridBlock(q, q, i, j) // (n/q^2) x (n/q)
-			}
-		}
+	// All-to-all reduction among the q corresponding processors of
+	// the subcubes: node (sub,i,j) keeps column group sub of the
+	// summed block C_ij.
+	cross := collective.On(nd, hypercube.Line(nd.ID, 2*dd, dd))
+	pieces := make([]*matrix.Dense, q)
+	for l := 0; l < q; l++ {
+		pieces[l] = o.ColGroup(q, l)
 	}
-
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		sub, i, j := coords(nd.ID)
-		base := hypercube.Gray(sub) << (2 * dd)
-		rowCh := hypercube.NewChain(base|hypercube.Gray(i)<<dd, dims(0, dd))
-		colCh := hypercube.NewChain(base|hypercube.Gray(j), dims(dd, dd))
-
-		// Outer product O_sub = A_.sub x B_sub. via Cannon on the subcube.
-		o := CannonRun(nd, rowCh, colCh, i, j, q, aIn[nd.ID], bIn[nd.ID], 1)
-
-		// All-to-all reduction among the q corresponding processors of
-		// the subcubes: node (sub,i,j) keeps column group sub of the
-		// summed block C_ij.
-		crossCh := hypercube.NewChain(hypercube.Gray(i)<<dd|hypercube.Gray(j), dims(2*dd, dd))
-		cross := collective.On(nd, crossCh)
-		pieces := make([]*matrix.Dense, q)
-		for l := 0; l < q; l++ {
-			pieces[l] = o.ColGroup(q, l)
-		}
-		nd.NoteWords(aIn[nd.ID].Words() + bIn[nd.ID].Words() + o.Words())
-		out[nd.ID] = cross.ReduceScatter(2, pieces)
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-
-	// Collection: C block (i,j) is spread across the subcubes as column
-	// groups.
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			cols := make([]*matrix.Dense, q)
-			for sub := 0; sub < q; sub++ {
-				cols[sub] = out[node(sub, i, j)]
-			}
-			C.SetGridBlock(q, q, i, j, matrix.ConcatCols(cols...))
-		}
-	}
-	return C, stats, nil
-}
-
-// dims returns the physical dimensions lo..lo+n-1.
-func dims(lo, n int) []int {
-	ds := make([]int, n)
-	for s := range ds {
-		ds[s] = lo + s
-	}
-	return ds
+	nd.NoteWords(a.Words() + b.Words() + o.Words())
+	return cross.ReduceScatter(2, pieces)
 }

@@ -16,44 +16,12 @@ import (
 // standard correct skew, which has identical cost). Each skew transfer
 // is routed e-cube, at most log sqrt(p) hops. Phase 2 is sqrt(p)
 // shift-multiply-add steps around the Gray-code rings. Cannon's
-// advantage is constant storage: three blocks per node.
-func Cannon(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := Grid2DFor(m, n)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	q := g.Q
-
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			id := g.Node(i, j)
-			aIn[id] = A.GridBlock(q, q, i, j)
-			bIn[id] = B.GridBlock(q, q, i, j)
-		}
-	}
-
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j := g.Coords(nd.ID)
-		out[nd.ID] = CannonRun(nd, g.RowChain(i), g.ColChain(j), i, j, q, aIn[nd.ID], bIn[nd.ID], 1)
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			C.SetGridBlock(q, q, i, j, out[g.Node(i, j)])
-		}
-	}
-	return C, stats, nil
+// advantage is constant storage: three blocks per node. It runs on
+// layout.Block2D.
+func Cannon(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	g := hypercube.NewGrid2D(nd.P())
+	i, j := g.Coords(nd.ID)
+	return CannonRun(nd, g.RowChain(i), g.ColChain(j), i, j, g.Q, a, b, 1)
 }
 
 // CannonRun executes Cannon's algorithm from the point of view of the

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"fmt"
 
+	"hypermm/internal/layout"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -17,80 +18,41 @@ import (
 // at most log sqrt(p) hops on the hypercube.
 //
 // Unlike the hypercube algorithms, the torus does not require a
-// power-of-two side: any q x q machine with q | n works.
+// power-of-two side: any q x q machine with q | n works. It runs on
+// layout.Torus.
 func CannonTorus(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
 	if m.Cfg.Topology != simnet.Torus2D {
 		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: CannonTorus needs a Torus2D machine")
 	}
-	q := intSqrt(m.P())
-	if q*q != m.P() {
-		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: torus machine size %d is not square", m.P())
-	}
-	if n%q != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: n=%d not divisible by q=%d", n, q)
-	}
-
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			id := simnet.TorusNode(i, j, q)
-			aIn[id] = A.GridBlock(q, q, i, j)
-			bIn[id] = B.GridBlock(q, q, i, j)
-		}
-	}
-
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j := simnet.TorusCoords(nd.ID, q)
-		a, b := aIn[nd.ID], bIn[nd.ID]
-		tg := func(step, kind int) uint64 { return 1<<20 | uint64(step)<<4 | uint64(kind) }
-
-		// Skew: A_ij -> p_{i,(j-i) mod q}; B_ij -> p_{(i-j) mod q, j}.
-		// As in CannonRun, every sent block is immediately replaced by
-		// the incoming one, so the sends transfer ownership.
-		if q > 1 {
-			nd.SendMOwned(simnet.TorusNode(i, j-i, q), tg(0, 0), a)
-			nd.SendMOwned(simnet.TorusNode(i-j, j, q), tg(0, 1), b)
-			a = nd.RecvM(simnet.TorusNode(i, j+i, q), tg(0, 0))
-			b = nd.RecvM(simnet.TorusNode(i+j, j, q), tg(0, 1))
-		}
-
-		c := matrix.New(a.Rows, b.Cols)
-		nd.NoteWords(a.Words() + b.Words() + c.Words())
-		for t := 0; t < q; t++ {
-			nd.MulAdd(c, a, b)
-			if t == q-1 {
-				break
-			}
-			nd.SendMOwned(simnet.TorusNode(i, j-1, q), tg(t+1, 0), a)
-			nd.SendMOwned(simnet.TorusNode(i-1, j, q), tg(t+1, 1), b)
-			a = nd.RecvM(simnet.TorusNode(i, j+1, q), tg(t+1, 0))
-			b = nd.RecvM(simnet.TorusNode(i+1, j, q), tg(t+1, 1))
-		}
-		out[nd.ID] = c
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			C.SetGridBlock(q, q, i, j, out[simnet.TorusNode(i, j, q)])
-		}
-	}
-	return C, stats, nil
+	return Spec{Dist: layout.Torus, Run: cannonTorus}.Multiply(m, A, B)
 }
 
-func intSqrt(x int) int {
-	r := 0
-	for (r+1)*(r+1) <= x {
-		r++
+func cannonTorus(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	q := n / a.Rows // every node of the q x q torus holds one block
+	i, j := simnet.TorusCoords(nd.ID, q)
+	tg := func(step, kind int) uint64 { return 1<<20 | uint64(step)<<4 | uint64(kind) }
+
+	// Skew: A_ij -> p_{i,(j-i) mod q}; B_ij -> p_{(i-j) mod q, j}.
+	// As in CannonRun, every sent block is immediately replaced by
+	// the incoming one, so the sends transfer ownership.
+	if q > 1 {
+		nd.SendMOwned(simnet.TorusNode(i, j-i, q), tg(0, 0), a)
+		nd.SendMOwned(simnet.TorusNode(i-j, j, q), tg(0, 1), b)
+		a = nd.RecvM(simnet.TorusNode(i, j+i, q), tg(0, 0))
+		b = nd.RecvM(simnet.TorusNode(i+j, j, q), tg(0, 1))
 	}
-	return r
+
+	c := matrix.New(a.Rows, b.Cols)
+	nd.NoteWords(a.Words() + b.Words() + c.Words())
+	for t := 0; t < q; t++ {
+		nd.MulAdd(c, a, b)
+		if t == q-1 {
+			break
+		}
+		nd.SendMOwned(simnet.TorusNode(i, j-1, q), tg(t+1, 0), a)
+		nd.SendMOwned(simnet.TorusNode(i-1, j, q), tg(t+1, 1), b)
+		a = nd.RecvM(simnet.TorusNode(i, j+1, q), tg(t+1, 0))
+		b = nd.RecvM(simnet.TorusNode(i+1, j, q), tg(t+1, 1))
+	}
+	return c
 }

@@ -1,8 +1,9 @@
-package algorithms
+package algorithms_test
 
 import (
 	"testing"
 
+	"hypermm/internal/algorithms"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -20,7 +21,7 @@ func TestCannonTorusCorrect(t *testing.T) {
 		for _, c := range cases {
 			A := matrix.Random(c.n, c.n, int64(c.p))
 			B := matrix.Random(c.n, c.n, int64(c.p+1))
-			C, _, err := CannonTorus(torusM(c.p, pm, 10, 1), A, B)
+			C, _, err := algorithms.CannonTorus(torusM(c.p, pm, 10, 1), A, B)
 			if err != nil {
 				t.Fatalf("p=%d n=%d %v: %v", c.p, c.n, pm, err)
 			}
@@ -33,10 +34,10 @@ func TestCannonTorusCorrect(t *testing.T) {
 
 func TestCannonTorusRejectsHypercubeMachine(t *testing.T) {
 	A := matrix.New(8, 8)
-	if _, _, err := CannonTorus(newM(16, simnet.OnePort), A, A); err == nil {
+	if _, _, err := algorithms.CannonTorus(newM(16, simnet.OnePort), A, A); err == nil {
 		t.Error("accepted a hypercube machine")
 	}
-	if _, _, err := CannonTorus(torusM(16, simnet.OnePort, 1, 1), matrix.New(6, 6), matrix.New(6, 6)); err == nil {
+	if _, _, err := algorithms.CannonTorus(torusM(16, simnet.OnePort, 1, 1), matrix.New(6, 6), matrix.New(6, 6)); err == nil {
 		t.Error("accepted n not divisible by q")
 	}
 }
@@ -60,7 +61,7 @@ func TestShiftPhaseEqualAcrossTopologies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, torus, err := CannonTorus(torusM(p, simnet.OnePort, ts, tw), A, B)
+	_, torus, err := algorithms.CannonTorus(torusM(p, simnet.OnePort, ts, tw), A, B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestTorusMultiPortOverlap(t *testing.T) {
 	const p, n = 16, 16
 	A := matrix.Random(n, n, 3)
 	B := matrix.Random(n, n, 4)
-	_, one, err := CannonTorus(torusM(p, simnet.OnePort, 0, 1), A, B)
+	_, one, err := algorithms.CannonTorus(torusM(p, simnet.OnePort, 0, 1), A, B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, multi, err := CannonTorus(torusM(p, simnet.MultiPort, 0, 1), A, B)
+	_, multi, err := algorithms.CannonTorus(torusM(p, simnet.MultiPort, 0, 1), A, B)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,71 @@
 // Package algorithms implements the previously published distributed
 // matrix-multiplication algorithms the paper compares against (its
 // Section 3): Simple, Cannon, Ho-Johnsson-Edelman, Berntsen, and DNS.
-// Each runs as an SPMD program on a simulated hypercube (internal/simnet)
-// and returns the assembled product together with the run statistics.
+// Each is a node Program: an SPMD program on a simulated hypercube
+// (internal/simnet) that starts from the node's blocks of A and B and
+// returns its block of C.
 //
 // Every algorithm here — and the paper's own algorithms in
-// internal/core — shares the same contract:
-//
-//	C, stats, err := algorithms.Cannon(m, A, B)
-//
-// where the initial distribution of A and B is materialized for free
-// (the paper assumes the operands already distributed), the algorithm's
-// communication and computation are charged to the simulated clock, and
-// C is collected for free afterwards and verified by the caller.
+// internal/core — runs through one driver, Spec.Multiply: the initial
+// distribution of A and B that the algorithm's layout.Distribution
+// names is materialized for free (the paper assumes the operands
+// already distributed), the algorithm's communication and computation
+// are charged to the simulated clock, and C is collected for free
+// through the same Distribution afterwards and verified by the caller.
 package algorithms
 
 import (
 	"fmt"
 
 	"hypermm/internal/hypercube"
+	"hypermm/internal/layout"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
+
+// Program is one node's part of a distributed n x n multiplication:
+// handed its blocks of A and B under the algorithm's distribution (nil
+// where it owns none), the node returns its block of C (nil where the
+// distribution gives it none).
+type Program func(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense
+
+// Spec is a distributed multiplication as data: the shape rule it needs
+// beyond its distribution's block grid (nil: none), where A, B and C
+// live on p processors, and the node program.
+type Spec struct {
+	Shape func(n, p int) error
+	Dist  func(p int) (layout.Distribution, error)
+	Run   Program
+}
+
+// Multiply is the one driver every runner goes through. It checks the
+// operands, the shape rule and the distribution, scatters A by the
+// distribution's A layout and B by its B layout, runs the node program
+// on every node of m, and gathers C by the C layout. On a failed run it
+// still returns the run's statistics.
+func (s Spec) Multiply(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
+	n, err := CheckSquareOperands(A, B)
+	if err == nil && s.Shape != nil {
+		err = s.Shape(n, m.P())
+	}
+	if err != nil {
+		return nil, simnet.RunStats{}, err
+	}
+	d, err := s.Dist(m.P())
+	if err == nil {
+		err = d.Fits(n)
+	}
+	if err != nil {
+		return nil, simnet.RunStats{}, err
+	}
+	aIn, bIn := d.A.Scatter(A, m.P()), d.B.Scatter(B, m.P())
+	out := make([]*matrix.Dense, m.P())
+	stats, err := m.RunErr(func(nd *simnet.Node) { out[nd.ID] = s.Run(nd, n, aIn[nd.ID], bIn[nd.ID]) })
+	if err != nil {
+		return nil, stats, err
+	}
+	return d.C.Gather(out), stats, nil
+}
 
 // CheckSquareOperands validates that A and B are n x n with equal n.
 func CheckSquareOperands(A, B *matrix.Dense) (int, error) {
@@ -34,8 +78,9 @@ func CheckSquareOperands(A, B *matrix.Dense) (int, error) {
 
 // CheckGrid2D is the integer shape rule of the 2-D family (Simple,
 // Cannon, Fox, 2-D Diagonal): p an even power of two and sqrt(p) | n.
-// The runners enforce it through Grid2DFor; harnesses that must tell
-// "not applicable" from "unexpectedly failed" ask it directly.
+// The algorithm table holds it as the entry's shape rule; harnesses
+// that must tell "not applicable" from "unexpectedly failed" ask it
+// directly.
 func CheckGrid2D(n, p int) error {
 	d := hypercube.Log2(p)
 	if d%2 != 0 {
@@ -82,22 +127,4 @@ func CheckHJE(n, p int) error {
 		return fmt.Errorf("algorithms: HJE needs log sqrt(p)=%d to divide the block edge n/sqrt(p)=%d (n >= sqrt(p) log sqrt(p))", dd, w)
 	}
 	return nil
-}
-
-// Grid2DFor returns the 2-D embedding for machine m, checking
-// CheckGrid2D's shape rule.
-func Grid2DFor(m *simnet.Machine, n int) (hypercube.Grid2D, error) {
-	if err := CheckGrid2D(n, m.P()); err != nil {
-		return hypercube.Grid2D{}, err
-	}
-	return hypercube.NewGrid2D(m.P()), nil
-}
-
-// Grid3DFor returns the 3-D embedding for machine m, checking
-// CheckGrid3D's shape rule.
-func Grid3DFor(m *simnet.Machine, n int, needQ2 bool) (hypercube.Grid3D, error) {
-	if err := CheckGrid3D(n, m.P(), needQ2); err != nil {
-		return hypercube.Grid3D{}, err
-	}
-	return hypercube.NewGrid3D(m.P()), nil
 }

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"hypermm/internal/collective"
+	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -13,71 +14,40 @@ import (
 // use z dimensions, so they do not overlap even on a multi-port machine
 // — as the paper observes). Phase 2 broadcasts A along y and B along x
 // (overlapping on multi-port). Every processor multiplies A_ik * B_kj,
-// and phase 3 reduces along z back to the z=0 plane.
-func DNS(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := Grid3DFor(m, n, false)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	q := g.Q
-	blk := n / q
+// and phase 3 reduces along z back to the z=0 plane. It runs on
+// layout.ZPlane.
+func DNS(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	g := hypercube.NewGrid3D(nd.P())
+	blk := n / g.Q
+	i, j, k := g.Coords(nd.ID)
 
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			id := g.Node(i, j, 0)
-			aIn[id] = A.GridBlock(q, q, i, j)
-			bIn[id] = B.GridBlock(q, q, i, j)
-		}
+	// Phase 1: point-to-point lifts along z.
+	if k == 0 {
+		nd.SendM(g.Node(i, j, j), 1, a)
+		nd.SendM(g.Node(i, j, i), 2, b)
+	}
+	var aRoot, bRoot *matrix.Dense
+	if k == j {
+		aRoot = nd.RecvM(g.Node(i, j, 0), 1)
+	}
+	if k == i {
+		bRoot = nd.RecvM(g.Node(i, j, 0), 2)
 	}
 
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j, k := g.Coords(nd.ID)
+	// Phase 2: A broadcast along y from p_{i,k,k}; B along x from
+	// p_{k,j,k}. Fused so a multi-port machine overlaps them.
+	opA := collective.On(nd, g.YChain(i, k)).NewBcast(3, k, blk, blk, aRoot)
+	opB := collective.On(nd, g.XChain(j, k)).NewBcast(4, k, blk, blk, bRoot)
+	collective.Run(opA, opB)
+	a, b = opA.Result(), opB.Result() // A_{ik}, B_{kj}
 
-		// Phase 1: point-to-point lifts along z.
-		if k == 0 {
-			nd.SendM(g.Node(i, j, j), 1, aIn[nd.ID])
-			nd.SendM(g.Node(i, j, i), 2, bIn[nd.ID])
-		}
-		var aRoot, bRoot *matrix.Dense
-		if k == j {
-			aRoot = nd.RecvM(g.Node(i, j, 0), 1)
-		}
-		if k == i {
-			bRoot = nd.RecvM(g.Node(i, j, 0), 2)
-		}
+	nd.NoteWords(2 * a.Words())
 
-		// Phase 2: A broadcast along y from p_{i,k,k}; B along x from
-		// p_{k,j,k}. Fused so a multi-port machine overlaps them.
-		opA := collective.On(nd, g.YChain(i, k)).NewBcast(3, k, blk, blk, aRoot)
-		opB := collective.On(nd, g.XChain(j, k)).NewBcast(4, k, blk, blk, bRoot)
-		collective.Run(opA, opB)
-		a, b := opA.Result(), opB.Result() // A_{ik}, B_{kj}
-
-		nd.NoteWords(2 * a.Words())
-
-		// Multiply and phase 3: reduce along z to the z=0 plane.
-		i3 := nd.Mul(a, b)
-		c := collective.On(nd, g.ZChain(i, j)).Reduce(5, 0, i3)
-		if k == 0 {
-			out[nd.ID] = c
-		}
-	})
-	if err != nil {
-		return nil, stats, err
+	// Multiply and phase 3: reduce along z to the z=0 plane.
+	i3 := nd.Mul(a, b)
+	c := collective.On(nd, g.ZChain(i, j)).Reduce(5, 0, i3)
+	if k == 0 {
+		return c
 	}
-
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			C.SetGridBlock(q, q, i, j, out[g.Node(i, j, 0)])
-		}
-	}
-	return C, stats, nil
+	return nil
 }

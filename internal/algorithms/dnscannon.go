@@ -1,10 +1,9 @@
 package algorithms
 
 import (
-	"fmt"
-
 	"hypermm/internal/collective"
 	"hypermm/internal/hypercube"
+	"hypermm/internal/layout"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -23,91 +22,30 @@ import (
 // dominate it; it is implemented here so the dominated baseline is
 // reproducible too. s must be a power of eight, r a power of four.
 //
-// Address layout: the low log r dimensions hold the intra-supernode
-// mesh (Gray-embedded rows and columns), the high 3*log cbrt(s)
-// dimensions the supernode grid, so all DNS-phase chains and all
-// Cannon rings are subcubes.
+// Address layout: hypercube.Supergrid, so all DNS-phase chains and all
+// Cannon rings are subcubes. It runs on layout.SupernodeZPlane:
+// supernode (I,J,0) holds blocks A_IJ and B_IJ of the
+// cbrt(s) x cbrt(s) partition, themselves distributed
+// sqrt(r) x sqrt(r) over the supernode's mesh.
 func DNSCannon(m *simnet.Machine, A, B *matrix.Dense, s int) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	p := m.P()
-	if s <= 0 || p%s != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: supernode count %d does not divide p=%d", s, p)
-	}
-	r := p / s
-	if !hypercube.IsPow2(s) || hypercube.Log2(s)%3 != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: s=%d is not a perfect cube power of two", s)
-	}
-	if !hypercube.IsPow2(r) || hypercube.Log2(r)%2 != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: r=p/s=%d is not a perfect square power of two", r)
-	}
-	qs := 1 << (hypercube.Log2(s) / 3) // supernodes per grid axis
-	qr := 1 << (hypercube.Log2(r) / 2) // mesh processors per supernode axis
-	if n%(qs*qr) != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("algorithms: n=%d not divisible by cbrt(s)*sqrt(r)=%d", n, qs*qr)
-	}
-	dr := hypercube.Log2(r)
-	ds := hypercube.Log2(qs)
-
-	// Physical address: [super x | super y | super z | intra i | intra j].
-	intra := func(i, j int) int { return hypercube.Gray(i)<<(dr/2) | hypercube.Gray(j) }
-	node := func(I, J, K, i, j int) int {
-		return hypercube.Gray(I)<<(2*ds+dr) | hypercube.Gray(J)<<(ds+dr) | hypercube.Gray(K)<<dr | intra(i, j)
-	}
-	coords := func(id int) (I, J, K, i, j int) {
-		mi := 1<<(dr/2) - 1
-		ms := 1<<ds - 1
-		return hypercube.GrayRank(id >> (2*ds + dr) & ms),
-			hypercube.GrayRank(id >> (ds + dr) & ms),
-			hypercube.GrayRank(id >> dr & ms),
-			hypercube.GrayRank(id >> (dr / 2) & mi),
-			hypercube.GrayRank(id & mi)
-	}
-
-	// Initial distribution: supernode (I,J,0) holds blocks A_IJ and
-	// B_IJ of the cbrt(s) x cbrt(s) partition, themselves distributed
-	// qr x qr over the supernode's mesh.
-	aIn := make([]*matrix.Dense, p)
-	bIn := make([]*matrix.Dense, p)
-	for I := 0; I < qs; I++ {
-		for J := 0; J < qs; J++ {
-			aBlk := A.GridBlock(qs, qs, I, J)
-			bBlk := B.GridBlock(qs, qs, I, J)
-			for i := 0; i < qr; i++ {
-				for j := 0; j < qr; j++ {
-					id := node(I, J, 0, i, j)
-					aIn[id] = aBlk.GridBlock(qr, qr, i, j)
-					bIn[id] = bBlk.GridBlock(qr, qr, i, j)
-				}
-			}
-		}
-	}
-
-	blk := n / (qs * qr) // sub-block edge per mesh processor
-
-	out := make([]*matrix.Dense, p)
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		I, J, K, i, j := coords(nd.ID)
-		io := intra(i, j)
-
-		// Supernode-axis chains through this processor's mesh offset.
-		xCh := hypercube.NewChain(hypercube.Gray(J)<<(ds+dr)|hypercube.Gray(K)<<dr|io, dims(2*ds+dr, ds))
-		yCh := hypercube.NewChain(hypercube.Gray(I)<<(2*ds+dr)|hypercube.Gray(K)<<dr|io, dims(ds+dr, ds))
-		zCh := hypercube.NewChain(hypercube.Gray(I)<<(2*ds+dr)|hypercube.Gray(J)<<(ds+dr)|io, dims(dr, ds))
+	dist := func(p int) (layout.Distribution, error) { return layout.SupernodeZPlane(p, s) }
+	return Spec{Dist: dist, Run: func(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+		g, _ := hypercube.NewSupergrid(nd.P(), s) // valid: dist accepted (p, s)
+		blk := n / (g.Qs * g.Qr)                  // sub-block edge per mesh processor
+		I, J, K, i, j := g.Coords(nd.ID)
+		xCh, yCh, zCh, rowCh, colCh := g.Lines(nd.ID)
 
 		// Phase 1: lift the sub-blocks along z, supernode-wise.
 		if K == 0 {
-			nd.SendM(node(I, J, J, i, j), 1, aIn[nd.ID])
-			nd.SendM(node(I, J, I, i, j), 2, bIn[nd.ID])
+			nd.SendM(g.Node(I, J, J, i, j), 1, a)
+			nd.SendM(g.Node(I, J, I, i, j), 2, b)
 		}
 		var aRoot, bRoot *matrix.Dense
 		if K == J {
-			aRoot = nd.RecvM(node(I, J, 0, i, j), 1)
+			aRoot = nd.RecvM(g.Node(I, J, 0, i, j), 1)
 		}
 		if K == I {
-			bRoot = nd.RecvM(node(I, J, 0, i, j), 2)
+			bRoot = nd.RecvM(g.Node(I, J, 0, i, j), 2)
 		}
 
 		// Phase 2: broadcast A along y (root supernode J=K) and B along
@@ -115,38 +53,18 @@ func DNSCannon(m *simnet.Machine, A, B *matrix.Dense, s int) (*matrix.Dense, sim
 		opA := collective.On(nd, yCh).NewBcast(3, K, blk, blk, aRoot)
 		opB := collective.On(nd, xCh).NewBcast(4, K, blk, blk, bRoot)
 		collective.Run(opA, opB)
-		a, b := opA.Result(), opB.Result() // sub-blocks of A_{IK}, B_{KJ}
+		a, b = opA.Result(), opB.Result() // sub-blocks of A_{IK}, B_{KJ}
 
 		nd.NoteWords(3 * blk * blk)
 
 		// Phase 3: per-supernode block product by Cannon on the mesh.
-		// The row chain varies the low intra bits (j), the column chain
-		// the next intra bits (i); everything else is fixed context.
-		rowCh := hypercube.NewChain(nd.ID&^(1<<(dr/2)-1), dims(0, dr/2))
-		colCh := hypercube.NewChain(nd.ID&^((1<<(dr/2)-1)<<(dr/2)), dims(dr/2, dr/2))
-		c := CannonRun(nd, rowCh, colCh, i, j, qr, a, b, 5)
+		c := CannonRun(nd, rowCh, colCh, i, j, g.Qr, a, b, 5)
 
 		// Phase 4: reduce along z back to the K=0 plane.
 		red := collective.On(nd, zCh).Reduce(6, 0, c)
 		if K == 0 {
-			out[nd.ID] = red
+			return red
 		}
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-
-	C := matrix.New(n, n)
-	for I := 0; I < qs; I++ {
-		for J := 0; J < qs; J++ {
-			cBlk := matrix.New(n/qs, n/qs)
-			for i := 0; i < qr; i++ {
-				for j := 0; j < qr; j++ {
-					cBlk.SetGridBlock(qr, qr, i, j, out[node(I, J, 0, i, j)])
-				}
-			}
-			C.SetGridBlock(qs, qs, I, J, cBlk)
-		}
-	}
-	return C, stats, nil
+		return nil
+	}}.Multiply(m, A, B)
 }

@@ -1,8 +1,9 @@
-package algorithms
+package algorithms_test
 
 import (
 	"testing"
 
+	"hypermm/internal/algorithms"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -21,7 +22,7 @@ func TestDNSCannonCorrect(t *testing.T) {
 			A := matrix.Random(c.n, c.n, int64(c.p+c.n))
 			B := matrix.Random(c.n, c.n, int64(c.p+c.n+1))
 			m := newM(c.p, pm)
-			C, stats, err := DNSCannon(m, A, B, c.s)
+			C, stats, err := algorithms.DNSCannon(m, A, B, c.s)
 			if err != nil {
 				t.Fatalf("p=%d s=%d n=%d %v: %v", c.p, c.s, c.n, pm, err)
 			}
@@ -45,7 +46,7 @@ func TestDNSCannonSavesSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, combo, err := DNSCannon(newM(512, simnet.OnePort), A, B, 8)
+	_, combo, err := algorithms.DNSCannon(newM(512, simnet.OnePort), A, B, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestDNSCannonDominatedBy3DAll(t *testing.T) {
 	A := matrix.Random(n, n, 3)
 	B := matrix.Random(n, n, 4)
 	mc := simnet.NewMachine(simnet.Config{P: p, Ports: simnet.OnePort, Ts: 150, Tw: 3})
-	_, combo, err := DNSCannon(mc, A, B, 8)
+	_, combo, err := algorithms.DNSCannon(mc, A, B, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,16 +83,16 @@ func TestDNSCannonDominatedBy3DAll(t *testing.T) {
 
 func TestDNSCannonRejectsBadShapes(t *testing.T) {
 	A := matrix.New(16, 16)
-	if _, _, err := DNSCannon(newM(32, simnet.OnePort), A, A, 16); err == nil {
+	if _, _, err := algorithms.DNSCannon(newM(32, simnet.OnePort), A, A, 16); err == nil {
 		t.Error("accepted non-cube s")
 	}
-	if _, _, err := DNSCannon(newM(64, simnet.OnePort), A, A, 8); err == nil {
+	if _, _, err := algorithms.DNSCannon(newM(64, simnet.OnePort), A, A, 8); err == nil {
 		t.Error("accepted r not a square (64/8=8)")
 	}
-	if _, _, err := DNSCannon(newM(32, simnet.OnePort), A, A, 5); err == nil {
+	if _, _, err := algorithms.DNSCannon(newM(32, simnet.OnePort), A, A, 5); err == nil {
 		t.Error("accepted s not dividing p")
 	}
-	if _, _, err := DNSCannon(newM(32, simnet.OnePort), matrix.New(6, 6), matrix.New(6, 6), 8); err == nil {
+	if _, _, err := algorithms.DNSCannon(newM(32, simnet.OnePort), matrix.New(6, 6), matrix.New(6, 6), 8); err == nil {
 		t.Error("accepted bad divisibility")
 	}
 }

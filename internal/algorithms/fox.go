@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"hypermm/internal/collective"
+	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -18,66 +19,34 @@ import (
 // in every step, so its start-up term is Theta(sqrt(p) log sqrt(p)) —
 // strictly worse on hypercubes, which is why the paper's comparison
 // set omits it; it is here for completeness of the historical lineage.
-func Fox(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := Grid2DFor(m, n)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
+// It runs on layout.Block2D.
+func Fox(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	g := hypercube.NewGrid2D(nd.P())
 	q := g.Q
 	blk := n / q
+	i, j := g.Coords(nd.ID)
+	rowC := collective.On(nd, g.RowChain(i))
+	colCh := g.ColChain(j)
 
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			id := g.Node(i, j)
-			aIn[id] = A.GridBlock(q, q, i, j)
-			bIn[id] = B.GridBlock(q, q, i, j)
+	c := matrix.New(blk, blk)
+	nd.NoteWords(3*blk*blk + blk*blk)
+	for t := 0; t < q; t++ {
+		// Broadcast A_{i,(i+t) mod q} across row i.
+		root := (i + t) % q
+		var mine *matrix.Dense
+		if j == root {
+			mine = a
 		}
-	}
-
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j := g.Coords(nd.ID)
-		rowC := collective.On(nd, g.RowChain(i))
-		colCh := g.ColChain(j)
-
-		a, b := aIn[nd.ID], bIn[nd.ID]
-		c := matrix.New(blk, blk)
-		nd.NoteWords(3*blk*blk + blk*blk)
-		for t := 0; t < q; t++ {
-			// Broadcast A_{i,(i+t) mod q} across row i.
-			root := (i + t) % q
-			var mine *matrix.Dense
-			if j == root {
-				mine = a
-			}
-			abc := rowC.Bcast(uint64(1000+t), root, blk, blk, mine)
-			nd.MulAdd(c, abc, b)
-			if t == q-1 {
-				break
-			}
-			// Roll B one position up the column ring; b is immediately
-			// replaced by the incoming block, so the send relays the
-			// payload without copying.
-			nd.SendMOwned(colCh.NodeAt(((i-1)%q+q)%q), uint64(2000+t), b)
-			b = nd.RecvM(colCh.NodeAt((i+1)%q), uint64(2000+t))
+		abc := rowC.Bcast(uint64(1000+t), root, blk, blk, mine)
+		nd.MulAdd(c, abc, b)
+		if t == q-1 {
+			break
 		}
-		out[nd.ID] = c
-	})
-	if err != nil {
-		return nil, stats, err
+		// Roll B one position up the column ring; b is immediately
+		// replaced by the incoming block, so the send relays the
+		// payload without copying.
+		nd.SendMOwned(colCh.NodeAt(((i-1)%q+q)%q), uint64(2000+t), b)
+		b = nd.RecvM(colCh.NodeAt((i+1)%q), uint64(2000+t))
 	}
-
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			C.SetGridBlock(q, q, i, j, out[g.Node(i, j)])
-		}
-	}
-	return C, stats, nil
+	return c
 }

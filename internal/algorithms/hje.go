@@ -23,102 +23,68 @@ import (
 // the Gray-code embedding — every partner is then a physical neighbor.
 //
 // Requires log sqrt(p) to divide the block edge n/sqrt(p) (the paper's
-// applicability condition n >= sqrt(p) log sqrt(p)).
-func HJE(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	p := m.P()
-	if err := CheckHJE(n, p); err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	dd := hypercube.Log2(p) / 2
+// applicability condition n >= sqrt(p) log sqrt(p)). It runs on
+// layout.Binary2D.
+func HJE(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	dd := hypercube.Log2(nd.P()) / 2
 	q := 1 << dd
 	w := n / q
+	i, j := nd.ID>>dd, nd.ID&(q-1)
+	tg := func(phase, step, kind int) uint64 {
+		return uint64(phase)<<28 | uint64(step)<<8 | uint64(kind)
+	}
 
-	node := func(i, j int) int { return i<<dd | j }
-	aIn := make([]*matrix.Dense, p)
-	bIn := make([]*matrix.Dense, p)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			aIn[node(i, j)] = A.GridBlock(q, q, i, j)
-			bIn[node(i, j)] = B.GridBlock(q, q, i, j)
+	// Skew by XOR, one bit at a time. Partners share the governing
+	// coordinate, so exchanges pair up symmetrically; the A and B
+	// exchanges of a bit use disjoint dimensions, so issuing both
+	// sends before the receives lets a multi-port node overlap them.
+	for d := 0; d < dd; d++ {
+		moveA := hypercube.Bit(i, d) == 1 // A moves along the row: j -> j^2^d
+		moveB := hypercube.Bit(j, d) == 1 // B moves along the column: i -> i^2^d
+		if moveA {
+			nd.SendM(nd.ID^(1<<d), tg(1, d, 0), a)
+		}
+		if moveB {
+			nd.SendM(nd.ID^(1<<(dd+d)), tg(1, d, 1), b)
+		}
+		if moveA {
+			a = nd.RecvM(nd.ID^(1<<d), tg(1, d, 0))
+		}
+		if moveB {
+			b = nd.RecvM(nd.ID^(1<<(dd+d)), tg(1, d, 1))
 		}
 	}
 
-	out := make([]*matrix.Dense, p)
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j := nd.ID>>dd, nd.ID&(q-1)
-		a, b := aIn[nd.ID], bIn[nd.ID]
-		tg := func(phase, step, kind int) uint64 {
-			return uint64(phase)<<28 | uint64(step)<<8 | uint64(kind)
-		}
+	c := matrix.New(w, w)
+	nd.NoteWords(a.Words() + b.Words() + c.Words())
 
-		// Skew by XOR, one bit at a time. Partners share the governing
-		// coordinate, so exchanges pair up symmetrically; the A and B
-		// exchanges of a bit use disjoint dimensions, so issuing both
-		// sends before the receives lets a multi-port node overlap them.
-		for d := 0; d < dd; d++ {
-			moveA := hypercube.Bit(i, d) == 1 // A moves along the row: j -> j^2^d
-			moveB := hypercube.Bit(j, d) == 1 // B moves along the column: i -> i^2^d
-			if moveA {
-				nd.SendM(nd.ID^(1<<d), tg(1, d, 0), a)
-			}
-			if moveB {
-				nd.SendM(nd.ID^(1<<(dd+d)), tg(1, d, 1), b)
-			}
-			if moveA {
-				a = nd.RecvM(nd.ID^(1<<d), tg(1, d, 0))
-			}
-			if moveB {
-				b = nd.RecvM(nd.ID^(1<<(dd+d)), tg(1, d, 1))
-			}
-		}
-
-		c := matrix.New(w, w)
-		nd.NoteWords(a.Words() + b.Words() + c.Words())
-
-		if q == 1 {
-			nd.MulAdd(c, a, b)
-			out[nd.ID] = c
-			return
-		}
-
-		// Shift-multiply-add over the rotated Gray tours.
-		for t := 0; t < q; t++ {
-			nd.MulAdd(c, a, b)
-			if t == q-1 {
-				break
-			}
-			base := hypercube.GrayStepBit(t) // transition Gray(t) -> Gray(t+1)
-			// Issue all 2*dd group exchanges; each uses a distinct
-			// physical dimension, so a multi-port node drives them all
-			// at once.
-			for l := 0; l < dd; l++ {
-				bl := (base + l) % dd
-				nd.SendM(nd.ID^(1<<bl), tg(2, t, l), a.ColGroup(dd, l))
-				nd.SendM(nd.ID^(1<<(dd+bl)), tg(3, t, l), b.RowGroup(dd, l))
-			}
-			for l := 0; l < dd; l++ {
-				bl := (base + l) % dd
-				ag := nd.RecvM(nd.ID^(1<<bl), tg(2, t, l))
-				bg := nd.RecvM(nd.ID^(1<<(dd+bl)), tg(3, t, l))
-				a.SetBlock(0, l*w/dd, ag)
-				b.SetBlock(l*w/dd, 0, bg)
-			}
-		}
-		out[nd.ID] = c
-	})
-	if err != nil {
-		return nil, stats, err
+	if q == 1 {
+		nd.MulAdd(c, a, b)
+		return c
 	}
 
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			C.SetGridBlock(q, q, i, j, out[node(i, j)])
+	// Shift-multiply-add over the rotated Gray tours.
+	for t := 0; t < q; t++ {
+		nd.MulAdd(c, a, b)
+		if t == q-1 {
+			break
+		}
+		base := hypercube.GrayStepBit(t) // transition Gray(t) -> Gray(t+1)
+		// Issue all 2*dd group exchanges; each uses a distinct
+		// physical dimension, so a multi-port node drives them all
+		// at once.
+		for l := 0; l < dd; l++ {
+			bl := (base + l) % dd
+			nd.SendM(nd.ID^(1<<bl), tg(2, t, l), a.ColGroup(dd, l))
+			nd.SendM(nd.ID^(1<<(dd+bl)), tg(3, t, l), b.RowGroup(dd, l))
+		}
+		for l := 0; l < dd; l++ {
+			bl := (base + l) % dd
+			ag := nd.RecvM(nd.ID^(1<<bl), tg(2, t, l))
+			bg := nd.RecvM(nd.ID^(1<<(dd+bl)), tg(3, t, l))
+			a.SetBlock(0, l*w/dd, ag)
+			b.SetBlock(l*w/dd, 0, bg)
 		}
 	}
-	return C, stats, nil
+	return c
 }

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"hypermm/internal/collective"
+	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -17,64 +18,32 @@ import (
 // (they use disjoint grid dimensions); on a one-port machine they
 // serialize — both cases fall out of running the phases fused.
 // The price is space: each node ends up holding 2 n^2/sqrt(p) words.
-func Simple(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := Grid2DFor(m, n)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
+// It runs on layout.Block2D: p_{i,j} starts with A_ij and B_ij.
+func Simple(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	g := hypercube.NewGrid2D(nd.P())
 	q := g.Q
+	i, j := g.Coords(nd.ID)
+	rowC := collective.On(nd, g.RowChain(i))
+	colC := collective.On(nd, g.ColChain(j))
 
-	// Initial distribution (free): p_{i,j} holds A_ij and B_ij.
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			id := g.Node(i, j)
-			aIn[id] = A.GridBlock(q, q, i, j)
-			bIn[id] = B.GridBlock(q, q, i, j)
-		}
+	// Phase 1+2 fused: row-wise all-gather of A, column-wise
+	// all-gather of B.
+	agA := rowC.NewAllGather(1, a)
+	agB := colC.NewAllGather(2, b)
+	collective.Run(agA, agB)
+	arow, bcol := agA.Result(), agB.Result()
+
+	blk := n / q
+	held := 0
+	for k := 0; k < q; k++ {
+		held += arow[k].Words() + bcol[k].Words()
 	}
+	nd.NoteWords(held + blk*blk)
 
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j := g.Coords(nd.ID)
-		rowC := collective.On(nd, g.RowChain(i))
-		colC := collective.On(nd, g.ColChain(j))
-
-		// Phase 1+2 fused: row-wise all-gather of A, column-wise
-		// all-gather of B.
-		agA := rowC.NewAllGather(1, aIn[nd.ID])
-		agB := colC.NewAllGather(2, bIn[nd.ID])
-		collective.Run(agA, agB)
-		arow, bcol := agA.Result(), agB.Result()
-
-		blk := n / q
-		held := 0
-		for k := 0; k < q; k++ {
-			held += arow[k].Words() + bcol[k].Words()
-		}
-		nd.NoteWords(held + blk*blk)
-
-		// Local compute: C_ij = sum_k A_ik * B_kj.
-		c := matrix.New(blk, blk)
-		for k := 0; k < q; k++ {
-			nd.MulAdd(c, arow[k], bcol[k])
-		}
-		out[nd.ID] = c
-	})
-	if err != nil {
-		return nil, stats, err
+	// Local compute: C_ij = sum_k A_ik * B_kj.
+	c := matrix.New(blk, blk)
+	for k := 0; k < q; k++ {
+		nd.MulAdd(c, arow[k], bcol[k])
 	}
-
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			C.SetGridBlock(q, q, i, j, out[g.Node(i, j)])
-		}
-	}
-	return C, stats, nil
+	return c
 }

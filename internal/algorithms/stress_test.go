@@ -1,4 +1,4 @@
-package algorithms
+package algorithms_test
 
 import (
 	"testing"

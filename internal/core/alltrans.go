@@ -1,8 +1,8 @@
 package core
 
 import (
-	"hypermm/internal/algorithms"
 	"hypermm/internal/collective"
+	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -21,85 +21,48 @@ import (
 // blocks (overlapped on multi-port). Each processor then computes its
 // block of the plane's outer product, I_{k,i} = sum_l A_{k,f(l,j)}
 // B_{f(l,j),i}. Phase 3: all-to-all reduction along y delivers
-// C_{k,f(i,j)} aligned exactly like A.
-func AllTrans(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := algorithms.CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := algorithms.Grid3DFor(m, n, true)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
+// C_{k,f(i,j)} aligned exactly like A. It runs on layout.Fig8Trans.
+func AllTrans(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	g := hypercube.NewGrid3D(nd.P())
 	q := g.Q
 	big := n / q         // block edge along the coarse axis
 	small := n / (q * q) // block edge along the fine axis
+	i, j, k := g.Coords(nd.ID)
+	xc := collective.On(nd, g.XChain(j, k))
 
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			for k := 0; k < q; k++ {
-				id := g.Node(i, j, k)
-				f := matrix.F(q, i, j)
-				aIn[id] = A.GridBlock(q, q*q, k, f) // big x small
-				bIn[id] = B.GridBlock(q*q, q, f, k) // small x big
-			}
-		}
+	// Phase 1: gather B blocks of the x-line at x-position k.
+	gathered := xc.Gather(1, k, b) // at p_{k,j,k}: B_{f(l,j),k} by l
+
+	// The z-root (k == i on its chain... the root of ZChain(i,j) at
+	// z-position i is p_{i,j,i}, which as an x-gather root (k==i)
+	// holds B_{f(*,j),i}. Stack the gathered blocks into one
+	// (n/q x n/q) slab for the broadcast.
+	var bSlab *matrix.Dense
+	if i == k {
+		bSlab = matrix.ConcatRows(gathered...)
 	}
 
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j, k := g.Coords(nd.ID)
-		xc := collective.On(nd, g.XChain(j, k))
+	// Phase 2: broadcast B_{f(*,j),i} along z from z-position i,
+	// fused with the all-to-all broadcast of A along x.
+	opB := collective.On(nd, g.ZChain(i, j)).NewBcast(2, i, big, big, bSlab)
+	opA := xc.NewAllGather(3, a)
+	collective.Run(opB, opA)
+	bAll, aAll := opB.Result(), opA.Result()
 
-		// Phase 1: gather B blocks of the x-line at x-position k.
-		gathered := xc.Gather(1, k, bIn[nd.ID]) // at p_{k,j,k}: B_{f(l,j),k} by l
+	nd.NoteWords(bAll.Words() + big*small*q + big*big)
 
-		// The z-root (k == i on its chain... the root of ZChain(i,j) at
-		// z-position i is p_{i,j,i}, which as an x-gather root (k==i)
-		// holds B_{f(*,j),i}. Stack the gathered blocks into one
-		// (n/q x n/q) slab for the broadcast.
-		var bSlab *matrix.Dense
-		if i == k {
-			bSlab = matrix.ConcatRows(gathered...)
-		}
-
-		// Phase 2: broadcast B_{f(*,j),i} along z from z-position i,
-		// fused with the all-to-all broadcast of A along x.
-		opB := collective.On(nd, g.ZChain(i, j)).NewBcast(2, i, big, big, bSlab)
-		opA := xc.NewAllGather(3, aIn[nd.ID])
-		collective.Run(opB, opA)
-		bAll, aAll := opB.Result(), opA.Result()
-
-		nd.NoteWords(bAll.Words() + big*small*q + big*big)
-
-		// Compute I_{k,i} = sum_l A_{k,f(l,j)} x B_{f(l,j),i}.
-		islab := matrix.New(big, big)
-		for l := 0; l < q; l++ {
-			nd.MulAdd(islab, aAll[l], bAll.RowGroup(q, l))
-		}
-
-		// Phase 3: all-to-all reduction along y: send column group l of
-		// I_{k,i} toward y-position l; receive and sum the pieces for
-		// our own y-position, yielding C_{k,f(i,j)}.
-		pieces := make([]*matrix.Dense, q)
-		for l := 0; l < q; l++ {
-			pieces[l] = islab.ColGroup(q, l)
-		}
-		out[nd.ID] = collective.On(nd, g.YChain(i, k)).ReduceScatter(4, pieces)
-	})
-	if err != nil {
-		return nil, stats, err
+	// Compute I_{k,i} = sum_l A_{k,f(l,j)} x B_{f(l,j),i}.
+	islab := matrix.New(big, big)
+	for l := 0; l < q; l++ {
+		nd.MulAdd(islab, aAll[l], bAll.RowGroup(q, l))
 	}
 
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			for k := 0; k < q; k++ {
-				C.SetGridBlock(q, q*q, k, matrix.F(q, i, j), out[g.Node(i, j, k)])
-			}
-		}
+	// Phase 3: all-to-all reduction along y: send column group l of
+	// I_{k,i} toward y-position l; receive and sum the pieces for
+	// our own y-position, yielding C_{k,f(i,j)}.
+	pieces := make([]*matrix.Dense, q)
+	for l := 0; l < q; l++ {
+		pieces[l] = islab.ColGroup(q, l)
 	}
-	return C, stats, nil
+	return collective.On(nd, g.YChain(i, k)).ReduceScatter(4, pieces)
 }

@@ -4,11 +4,12 @@
 // algorithm (Algorithm 3), the 3-D All_Trans algorithm (Algorithm 4),
 // and the 3-D All algorithm (Algorithm 5).
 //
-// All four follow the same contract as the baselines in
-// internal/algorithms: the initial distribution the paper assumes is
-// materialized for free, the algorithm's communication and computation
-// run on the simulated hypercube and are charged to its clock, and the
-// result is collected for free and returned assembled.
+// All four are node programs with the same contract as the baselines in
+// internal/algorithms, run by the same driver, algorithms.Spec.Multiply:
+// the initial distribution the paper assumes is materialized for free,
+// the algorithm's communication and computation run on the simulated
+// hypercube and are charged to its clock, and the result is collected
+// for free and returned assembled.
 //
 // Headline results (the paper's Table 2, one-port):
 //

@@ -1,14 +1,31 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
 
+	"hypermm/internal/core"
+	"hypermm/internal/cost"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
 
-type algo func(*simnet.Machine, *matrix.Dense, *matrix.Dense) (*matrix.Dense, simnet.RunStats, error)
+type algo = cost.Runner
+
+// run returns the algorithm table's runner for a: the entry's node
+// program between a scatter and a gather through its Dist.
+func run(a cost.Alg) algo {
+	e, _ := cost.Lookup(a)
+	return e.Multiply
+}
+
+// The table runners of this package's node programs.
+var (
+	TwoDiag   = run(cost.TwoDiag)
+	ThreeDiag = run(cost.ThreeDiag)
+	AllTrans  = run(cost.AllTrans)
+	ThreeAll  = run(cost.ThreeAll)
+)
 
 func newM(p int, pm simnet.PortModel, ts, tw, tc float64) *simnet.Machine {
 	return simnet.NewMachine(simnet.Config{P: p, Ports: pm, Ts: ts, Tw: tw, Tc: tc})
@@ -267,7 +284,7 @@ func TestThreeAllRepeated(t *testing.T) {
 	const p, n = 8, 16
 	A := matrix.Random(n, n, 77).Scale(0.2) // keep powers bounded
 	for rounds := 0; rounds <= 3; rounds++ {
-		C, stats, err := ThreeAllRepeated(newM(p, simnet.OnePort, 10, 1, 0.1), A, rounds)
+		C, stats, err := core.ThreeAllRepeated(newM(p, simnet.OnePort, 10, 1, 0.1), A, rounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,11 +307,11 @@ func TestThreeAllRepeated(t *testing.T) {
 func TestThreeAllRepeatedSingleSession(t *testing.T) {
 	const p, n = 8, 16
 	A := matrix.Random(n, n, 78).Scale(0.2)
-	_, one, err := ThreeAllRepeated(newM(p, simnet.OnePort, 10, 1, 0), A, 1)
+	_, one, err := core.ThreeAllRepeated(newM(p, simnet.OnePort, 10, 1, 0), A, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, three, err := ThreeAllRepeated(newM(p, simnet.OnePort, 10, 1, 0), A, 3)
+	_, three, err := core.ThreeAllRepeated(newM(p, simnet.OnePort, 10, 1, 0), A, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +328,7 @@ func TestThreeAllRepeatedSingleSession(t *testing.T) {
 func TestThreeDiagTransCorrect(t *testing.T) {
 	for _, pm := range ports {
 		for _, c := range []struct{ p, n int }{{8, 8}, {8, 16}, {64, 16}, {64, 32}} {
-			checkProduct(t, "ThreeDiagTrans", ThreeDiagTrans, c.p, c.n, pm)
+			checkProduct(t, "ThreeDiagTrans", core.ThreeDiagTrans, c.p, c.n, pm)
 		}
 	}
 }
@@ -323,7 +340,7 @@ func TestThreeDiagTransCorrect(t *testing.T) {
 func TestThreeDiagTransSameCostAsThreeDiag(t *testing.T) {
 	const p, n = 64, 32
 	logq, blk := 2.0, float64(n*n)/16
-	aT, bT := measureAB(t, ThreeDiagTrans, p, n, simnet.OnePort)
+	aT, bT := measureAB(t, core.ThreeDiagTrans, p, n, simnet.OnePort)
 	aD, bD := measureAB(t, ThreeDiag, p, n, simnet.OnePort)
 	// Both share Table 2's 3DD bound (a = 4 log q); the emulator's
 	// phase pipelining may undercut it by up to one phase for either

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"hypermm/internal/algorithms"
+	"hypermm/internal/hypercube"
+	"hypermm/internal/layout"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -30,20 +32,17 @@ import (
 //	t_s (4/3) log p + t_w (n^2/p^(2/3)) (3(1-1/cbrt p) + log p/(6 cbrt p))
 //
 // the least communication overhead of all algorithms wherever it
-// applies, for every p >= 8.
-func ThreeAll(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := algorithms.CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := algorithms.Grid3DFor(m, n, true)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	// The cube is the Q x qy x Q grid with qy = Q = cbrt(p); the grid
-	// implementation with that shape is bit-for-bit the paper's
-	// Algorithm 5 (asserted in tests).
-	return ThreeAllGrid(m, A, B, g.Q)
+// applies, for every p >= 8. It runs on layout.Fig8.
+func ThreeAll(nd *simnet.Node, _ int, a, b *matrix.Dense) *matrix.Dense {
+	return threeAllGridRound(nd, cube(nd.P()), a, b, 0)
+}
+
+// cube is the Q x qy x Q grid with qy = Q = cbrt(p); the grid
+// implementation with that shape is bit-for-bit the paper's Algorithm 5
+// (asserted in tests).
+func cube(p int) hypercube.GridRect {
+	g, _ := hypercube.NewGridRect(p, 1<<(hypercube.Log2(p)/3)) // valid: layout.Fig8 accepted p
+	return g
 }
 
 // ThreeAllRepeated computes A^(2^rounds) by repeated squaring entirely
@@ -55,49 +54,12 @@ func ThreeAllRepeated(m *simnet.Machine, A *matrix.Dense, rounds int) (*matrix.D
 	if rounds < 0 {
 		return nil, simnet.RunStats{}, fmt.Errorf("core: negative round count %d", rounds)
 	}
-	n, err := algorithms.CheckSquareOperands(A, A)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g3, err := algorithms.Grid3DFor(m, n, true)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := newRectGrid(m.P(), g3.Q)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	q := g3.Q
-
-	in := make([]*matrix.Dense, m.P())
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			for k := 0; k < q; k++ {
-				in[g.node(i, j, k)] = A.GridBlock(q, q*q, k, matrix.F(q, i, j))
-			}
-		}
-	}
-
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		x := in[nd.ID]
+	return algorithms.Spec{Dist: layout.Fig8, Run: func(nd *simnet.Node, _ int, x, _ *matrix.Dense) *matrix.Dense {
+		g := cube(nd.P())
 		for r := 0; r < rounds; r++ {
 			// A and B are the same distributed matrix: squaring.
 			x = threeAllGridRound(nd, g, x, x, uint64(r)*16)
 		}
-		out[nd.ID] = x
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for j := 0; j < q; j++ {
-			for k := 0; k < q; k++ {
-				C.SetGridBlock(q, q*q, k, matrix.F(q, i, j), out[g.node(i, j, k)])
-			}
-		}
-	}
-	return C, stats, nil
+		return x
+	}}.Multiply(m, A, A)
 }

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"hypermm/internal/algorithms"
 	"hypermm/internal/collective"
 	"hypermm/internal/hypercube"
+	"hypermm/internal/layout"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -31,108 +30,15 @@ import (
 // processor p_{i,j,k} holds A_{k,f(i,j)} and B_{k,f(i,j)} with
 // f(i,j) = i*qy + j, exactly as in Figure 8 with the axes reinterpreted.
 
-// rectGrid embeds a Q x qy x Q virtual grid: Gray(i) in the top bits
-// (x), Gray(j) in the middle (y), Gray(k) in the low bits (z).
-type rectGrid struct {
-	Q, Qy  int
-	dq, dy int // log2 Q, log2 Qy
-}
-
-func newRectGrid(p, qy int) (rectGrid, error) {
-	if !hypercube.IsPow2(p) || !hypercube.IsPow2(qy) {
-		return rectGrid{}, fmt.Errorf("core: p=%d and qy=%d must be powers of two", p, qy)
-	}
-	if p%qy != 0 {
-		return rectGrid{}, fmt.Errorf("core: qy=%d does not divide p=%d", qy, p)
-	}
-	q2 := p / qy
-	dq2 := hypercube.Log2(q2)
-	if dq2%2 != 0 {
-		return rectGrid{}, fmt.Errorf("core: p/qy=%d is not a square power of two", q2)
-	}
-	g := rectGrid{Q: 1 << (dq2 / 2), Qy: qy, dq: dq2 / 2, dy: hypercube.Log2(qy)}
-	return g, nil
-}
-
-func (g rectGrid) node(i, j, k int) int {
-	return hypercube.Gray(i)<<(g.dq+g.dy) | hypercube.Gray(j)<<g.dq | hypercube.Gray(k)
-}
-
-func (g rectGrid) coords(id int) (i, j, k int) {
-	return hypercube.GrayRank(id >> (g.dq + g.dy)),
-		hypercube.GrayRank((id >> g.dq) & (1<<g.dy - 1)),
-		hypercube.GrayRank(id & (1<<g.dq - 1))
-}
-
-func (g rectGrid) xChain(j, k int) hypercube.Chain {
-	return hypercube.NewChain(hypercube.Gray(j)<<g.dq|hypercube.Gray(k), dimRange(g.dq+g.dy, g.dq))
-}
-
-func (g rectGrid) yChain(i, k int) hypercube.Chain {
-	return hypercube.NewChain(hypercube.Gray(i)<<(g.dq+g.dy)|hypercube.Gray(k), dimRange(g.dq, g.dy))
-}
-
-func (g rectGrid) zChain(i, j int) hypercube.Chain {
-	return hypercube.NewChain(hypercube.Gray(i)<<(g.dq+g.dy)|hypercube.Gray(j)<<g.dq, dimRange(0, g.dq))
-}
-
-func dimRange(lo, n int) []int {
-	ds := make([]int, n)
-	for s := range ds {
-		ds[s] = lo + s
-	}
-	return ds
-}
-
 // ThreeAllGrid runs the 3-D All algorithm on a Q x qy x Q virtual grid
-// with p = Q^2*qy. qy = cbrt(p) reproduces ThreeAll; smaller qy trades
-// space for applicability up to p ~ n^2/2.
+// with p = Q^2*qy, on layout.Fig8Grid. qy = cbrt(p) reproduces
+// ThreeAll; smaller qy trades space for applicability up to p ~ n^2/2.
 func ThreeAllGrid(m *simnet.Machine, A, B *matrix.Dense, qy int) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := algorithms.CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := newRectGrid(m.P(), qy)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	Q, qyy := g.Q, g.Qy
-	cols := Q * qyy // number of column groups
-	if n%cols != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("core: n=%d not divisible by Q*qy=%d", n, cols)
-	}
-	aBlocks := A.GridBlocks(Q, cols)
-	bBlocks := B.GridBlocks(Q, cols)
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for i := 0; i < Q; i++ {
-		for j := 0; j < qyy; j++ {
-			for k := 0; k < Q; k++ {
-				id := g.node(i, j, k)
-				f := matrix.F(qyy, i, j)
-				aIn[id] = aBlocks[k][f]
-				bIn[id] = bBlocks[k][f]
-			}
-		}
-	}
-
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		out[nd.ID] = threeAllGridRound(nd, g, aIn[nd.ID], bIn[nd.ID], 0)
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-
-	C := matrix.New(n, n)
-	for i := 0; i < Q; i++ {
-		for j := 0; j < qyy; j++ {
-			for k := 0; k < Q; k++ {
-				C.SetGridBlock(Q, cols, k, matrix.F(qyy, i, j), out[g.node(i, j, k)])
-			}
-		}
-	}
-	return C, stats, nil
+	dist := func(p int) (layout.Distribution, error) { return layout.Fig8Grid(p, qy) }
+	return algorithms.Spec{Dist: dist, Run: func(nd *simnet.Node, _ int, a, b *matrix.Dense) *matrix.Dense {
+		g, _ := hypercube.NewGridRect(nd.P(), qy) // valid: dist accepted (p, qy)
+		return threeAllGridRound(nd, g, a, b, 0)
+	}}.Multiply(m, A, B)
 }
 
 // threeAllGridRound executes one 3-D All multiplication on a Q x qy x Q
@@ -140,11 +46,11 @@ func ThreeAllGrid(m *simnet.Machine, A, B *matrix.Dense, qy int) (*matrix.Dense,
 // bBlk = B_{k,f(i,j)}; it returns C_{k,f(i,j)}, distributed exactly
 // like the operands, which lets rounds chain with no redistribution.
 // tagBase must differ across successive rounds.
-func threeAllGridRound(nd *simnet.Node, g rectGrid, aBlk, bBlk *matrix.Dense, tagBase uint64) *matrix.Dense {
+func threeAllGridRound(nd *simnet.Node, g hypercube.GridRect, aBlk, bBlk *matrix.Dense, tagBase uint64) *matrix.Dense {
 	Q, qy := g.Q, g.Qy
 	big, small := aBlk.Rows, aBlk.Cols
-	i, j, k := g.coords(nd.ID)
-	yc := collective.On(nd, g.yChain(i, k))
+	xCh, yCh, zCh := g.Lines(nd.ID)
+	yc := collective.On(nd, yCh)
 
 	// Phase 1: all-to-all personalized along y — row group l of our B
 	// block goes to y-position l; the received pieces assemble into
@@ -156,8 +62,8 @@ func threeAllGridRound(nd *simnet.Node, g rectGrid, aBlk, bBlk *matrix.Dense, ta
 
 	// Phase 2: all-to-all broadcasts along z and x, fused for
 	// multi-port overlap.
-	opB := collective.On(nd, g.zChain(i, j)).NewAllGather(tagBase+2, bMine)
-	opA := collective.On(nd, g.xChain(j, k)).NewAllGather(tagBase+3, aBlk)
+	opB := collective.On(nd, zCh).NewAllGather(tagBase+2, bMine)
+	opA := collective.On(nd, xCh).NewAllGather(tagBase+3, aBlk)
 	collective.Run(opB, opA)
 	bAll, aAll := opB.Result(), opA.Result()
 

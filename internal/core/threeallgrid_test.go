@@ -1,8 +1,9 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"hypermm/internal/core"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -11,7 +12,7 @@ func runGrid(t *testing.T, p, n, qy int, pm simnet.PortModel) simnet.RunStats {
 	t.Helper()
 	A := matrix.Random(n, n, int64(7*p+n+qy))
 	B := matrix.Random(n, n, int64(7*p+n+qy+1))
-	C, stats, err := ThreeAllGrid(newM(p, pm, 10, 1, 0.1), A, B, qy)
+	C, stats, err := core.ThreeAllGrid(newM(p, pm, 10, 1, 0.1), A, B, qy)
 	if err != nil {
 		t.Fatalf("p=%d n=%d qy=%d %v: %v", p, n, qy, pm, err)
 	}
@@ -30,7 +31,7 @@ func TestThreeAllGridMatchesCube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rect, s2, err := ThreeAllGrid(newM(64, simnet.OnePort, 10, 1, 0), A, B, 4)
+	rect, s2, err := core.ThreeAllGrid(newM(64, simnet.OnePort, 10, 1, 0), A, B, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestThreeAllGridShapes(t *testing.T) {
 func TestThreeAllGridExtendsApplicability(t *testing.T) {
 	A := matrix.Random(16, 16, 3)
 	B := matrix.Random(16, 16, 4)
-	C, _, err := ThreeAllGrid(newM(128, simnet.OnePort, 10, 1, 0), A, B, 2)
+	C, _, err := core.ThreeAllGrid(newM(128, simnet.OnePort, 10, 1, 0), A, B, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestThreeAllGridSpaceTrade(t *testing.T) {
 	B := matrix.Random(n, n, 6)
 	prev := 0
 	for _, c := range []struct{ p, Q int }{{8, 2}, {32, 4}, {128, 8}} {
-		_, stats, err := ThreeAllGrid(newM(c.p, simnet.OnePort, 1, 1, 0), A, B, 2)
+		_, stats, err := core.ThreeAllGrid(newM(c.p, simnet.OnePort, 1, 1, 0), A, B, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,13 +103,13 @@ func TestThreeAllGridSpaceTrade(t *testing.T) {
 
 func TestThreeAllGridRejectsBadShapes(t *testing.T) {
 	A := matrix.New(16, 16)
-	if _, _, err := ThreeAllGrid(newM(16, simnet.OnePort, 1, 1, 0), A, A, 2); err == nil {
+	if _, _, err := core.ThreeAllGrid(newM(16, simnet.OnePort, 1, 1, 0), A, A, 2); err == nil {
 		t.Error("accepted p/qy not a square (16/2 = 8)")
 	}
-	if _, _, err := ThreeAllGrid(newM(16, simnet.OnePort, 1, 1, 0), A, A, 3); err == nil {
+	if _, _, err := core.ThreeAllGrid(newM(16, simnet.OnePort, 1, 1, 0), A, A, 3); err == nil {
 		t.Error("accepted non-power-of-two qy")
 	}
-	if _, _, err := ThreeAllGrid(newM(32, simnet.OnePort, 1, 1, 0), matrix.New(12, 12), matrix.New(12, 12), 2); err == nil {
+	if _, _, err := core.ThreeAllGrid(newM(32, simnet.OnePort, 1, 1, 0), matrix.New(12, 12), matrix.New(12, 12), 2); err == nil {
 		t.Error("accepted n not divisible by Q*qy")
 	}
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"hypermm/internal/algorithms"
 	"hypermm/internal/collective"
+	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -24,69 +24,37 @@ import (
 // One-port cost: t_s (4/3) log p + t_w (n^2/p^(2/3)) (4/3) log p — the
 // fewest start-ups of any algorithm in the paper, and the only
 // algorithm applicable in the region n^2 < p <= n^3 other than DNS,
-// which it dominates.
-func ThreeDiag(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := algorithms.CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := algorithms.Grid3DFor(m, n, false)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	q := g.Q
-	blk := n / q
+// which it dominates. It runs on layout.DiagPlane.
+func ThreeDiag(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	g := hypercube.NewGrid3D(nd.P())
+	blk := n / g.Q
+	i, j, k := g.Coords(nd.ID)
 
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for i := 0; i < q; i++ {
-		for k := 0; k < q; k++ {
-			id := g.Node(i, i, k)
-			aIn[id] = A.GridBlock(q, q, k, i)
-			bIn[id] = B.GridBlock(q, q, k, i)
-		}
+	// Phase 1: diagonal plane forwards B_{k,i} to p_{i,k,k}
+	// (point-to-point within the y dimensions).
+	if i == j {
+		nd.SendM(g.Node(i, k, k), 1, b)
+	}
+	var bRoot *matrix.Dense
+	if j == k {
+		bRoot = nd.RecvM(g.Node(i, i, j), 1) // B_{j,i}
 	}
 
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j, k := g.Coords(nd.ID)
+	// Phase 2: broadcast A_{k,j} along x (root: diagonal node at
+	// x-position j) and B_{j,i} along z (root: z-position j).
+	opA := collective.On(nd, g.XChain(j, k)).NewBcast(2, j, blk, blk, a)
+	opB := collective.On(nd, g.ZChain(i, j)).NewBcast(3, j, blk, blk, bRoot)
+	collective.Run(opA, opB)
+	a, b = opA.Result(), opB.Result() // A_{k,j}, B_{j,i}
 
-		// Phase 1: diagonal plane forwards B_{k,i} to p_{i,k,k}
-		// (point-to-point within the y dimensions).
-		if i == j {
-			nd.SendM(g.Node(i, k, k), 1, bIn[nd.ID])
-		}
-		var bRoot *matrix.Dense
-		if j == k {
-			bRoot = nd.RecvM(g.Node(i, i, j), 1) // B_{j,i}
-		}
+	nd.NoteWords(2 * a.Words())
 
-		// Phase 2: broadcast A_{k,j} along x (root: diagonal node at
-		// x-position j) and B_{j,i} along z (root: z-position j).
-		opA := collective.On(nd, g.XChain(j, k)).NewBcast(2, j, blk, blk, aIn[nd.ID])
-		opB := collective.On(nd, g.ZChain(i, j)).NewBcast(3, j, blk, blk, bRoot)
-		collective.Run(opA, opB)
-		a, b := opA.Result(), opB.Result() // A_{k,j}, B_{j,i}
-
-		nd.NoteWords(2 * a.Words())
-
-		// Compute I_{k,i} = A_{k,j} x B_{j,i} and reduce along y onto
-		// the diagonal plane (y-position i).
-		i3 := nd.Mul(a, b)
-		c := collective.On(nd, g.YChain(i, k)).Reduce(4, i, i3)
-		if i == j {
-			out[nd.ID] = c // C_{k,i}
-		}
-	})
-	if err != nil {
-		return nil, stats, err
+	// Compute I_{k,i} = A_{k,j} x B_{j,i} and reduce along y onto
+	// the diagonal plane (y-position i).
+	i3 := nd.Mul(a, b)
+	c := collective.On(nd, g.YChain(i, k)).Reduce(4, i, i3)
+	if i == j {
+		return c // C_{k,i}
 	}
-
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for k := 0; k < q; k++ {
-			C.SetGridBlock(q, q, k, i, out[g.Node(i, i, k)])
-		}
-	}
-	return C, stats, nil
+	return nil
 }

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"hypermm/internal/algorithms"
 	"hypermm/internal/collective"
 	"hypermm/internal/hypercube"
+	"hypermm/internal/layout"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -24,120 +23,44 @@ import (
 // Space drops from 3DD's 2n^2*cbrt(p) to ~3n^2*cbrt(s)/... per the same
 // argument as DNS+Cannon, while keeping 3DD's (4/3) log s supernode
 // start-up structure — which is what makes it beat DNS+Cannon
-// (asserted in tests).
+// (asserted in tests). It runs on layout.SupernodeDiagPlane:
+// diagonal-plane supernode (I,I,K) holds A_{K,I} and B_{K,I} of the
+// cbrt(s) x cbrt(s) partition, spread sqrt(r) x sqrt(r) over its mesh.
 func ThreeDiagCannon(m *simnet.Machine, A, B *matrix.Dense, s int) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := algorithms.CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	p := m.P()
-	if s <= 0 || p%s != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("core: supernode count %d does not divide p=%d", s, p)
-	}
-	r := p / s
-	if !hypercube.IsPow2(s) || hypercube.Log2(s)%3 != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("core: s=%d is not a perfect cube power of two", s)
-	}
-	if !hypercube.IsPow2(r) || hypercube.Log2(r)%2 != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("core: r=p/s=%d is not a perfect square power of two", r)
-	}
-	qs := 1 << (hypercube.Log2(s) / 3)
-	qr := 1 << (hypercube.Log2(r) / 2)
-	if n%(qs*qr) != 0 {
-		return nil, simnet.RunStats{}, fmt.Errorf("core: n=%d not divisible by cbrt(s)*sqrt(r)=%d", n, qs*qr)
-	}
-	dr := hypercube.Log2(r)
-	ds := hypercube.Log2(qs)
-
-	intra := func(i, j int) int { return hypercube.Gray(i)<<(dr/2) | hypercube.Gray(j) }
-	node := func(I, J, K, i, j int) int {
-		return hypercube.Gray(I)<<(2*ds+dr) | hypercube.Gray(J)<<(ds+dr) | hypercube.Gray(K)<<dr | intra(i, j)
-	}
-	coords := func(id int) (I, J, K, i, j int) {
-		mi := 1<<(dr/2) - 1
-		ms := 1<<ds - 1
-		return hypercube.GrayRank(id >> (2*ds + dr) & ms),
-			hypercube.GrayRank(id >> (ds + dr) & ms),
-			hypercube.GrayRank(id >> dr & ms),
-			hypercube.GrayRank(id >> (dr / 2) & mi),
-			hypercube.GrayRank(id & mi)
-	}
-
-	// Initial distribution: diagonal-plane supernode (I,I,K) holds
-	// A_{K,I} and B_{K,I} of the cbrt(s) x cbrt(s) partition, spread
-	// qr x qr over its mesh.
-	aIn := make([]*matrix.Dense, p)
-	bIn := make([]*matrix.Dense, p)
-	for I := 0; I < qs; I++ {
-		for K := 0; K < qs; K++ {
-			aBlk := A.GridBlock(qs, qs, K, I)
-			bBlk := B.GridBlock(qs, qs, K, I)
-			for i := 0; i < qr; i++ {
-				for j := 0; j < qr; j++ {
-					id := node(I, I, K, i, j)
-					aIn[id] = aBlk.GridBlock(qr, qr, i, j)
-					bIn[id] = bBlk.GridBlock(qr, qr, i, j)
-				}
-			}
-		}
-	}
-
-	blk := n / (qs * qr)
-
-	out := make([]*matrix.Dense, p)
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		I, J, K, i, j := coords(nd.ID)
-		io := intra(i, j)
-
-		xCh := hypercube.NewChain(hypercube.Gray(J)<<(ds+dr)|hypercube.Gray(K)<<dr|io, dimRange(2*ds+dr, ds))
-		yCh := hypercube.NewChain(hypercube.Gray(I)<<(2*ds+dr)|hypercube.Gray(K)<<dr|io, dimRange(ds+dr, ds))
-		zCh := hypercube.NewChain(hypercube.Gray(I)<<(2*ds+dr)|hypercube.Gray(J)<<(ds+dr)|io, dimRange(dr, ds))
+	dist := func(p int) (layout.Distribution, error) { return layout.SupernodeDiagPlane(p, s) }
+	return algorithms.Spec{Dist: dist, Run: func(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+		g, _ := hypercube.NewSupergrid(nd.P(), s) // valid: dist accepted (p, s)
+		blk := n / (g.Qs * g.Qr)
+		I, J, K, i, j := g.Coords(nd.ID)
+		xCh, yCh, zCh, rowCh, colCh := g.Lines(nd.ID)
 
 		// Phase 1: the diagonal plane forwards its B sub-block to the
 		// supernode (I,K,K), processor-wise.
 		if I == J {
-			nd.SendM(node(I, K, K, i, j), 1, bIn[nd.ID])
+			nd.SendM(g.Node(I, K, K, i, j), 1, b)
 		}
 		var bRoot *matrix.Dense
 		if J == K {
-			bRoot = nd.RecvM(node(I, I, J, i, j), 1)
+			bRoot = nd.RecvM(g.Node(I, I, J, i, j), 1)
 		}
 
 		// Phase 2: broadcast A along x (root supernode x-pos J) and the
 		// lifted B along z (root z-pos J), fused.
-		opA := collective.On(nd, xCh).NewBcast(2, J, blk, blk, aIn[nd.ID])
+		opA := collective.On(nd, xCh).NewBcast(2, J, blk, blk, a)
 		opB := collective.On(nd, zCh).NewBcast(3, J, blk, blk, bRoot)
 		collective.Run(opA, opB)
-		a, b := opA.Result(), opB.Result() // sub-blocks of A_{K,J}, B_{J,I}
+		a, b = opA.Result(), opB.Result() // sub-blocks of A_{K,J}, B_{J,I}
 
 		nd.NoteWords(3 * blk * blk)
 
 		// Phase 3: supernode block product by Cannon on the mesh.
-		rowCh := hypercube.NewChain(nd.ID&^(1<<(dr/2)-1), dimRange(0, dr/2))
-		colCh := hypercube.NewChain(nd.ID&^((1<<(dr/2)-1)<<(dr/2)), dimRange(dr/2, dr/2))
-		c := algorithms.CannonRun(nd, rowCh, colCh, i, j, qr, a, b, 9)
+		c := algorithms.CannonRun(nd, rowCh, colCh, i, j, g.Qr, a, b, 9)
 
 		// Phase 4: reduce along y onto the diagonal plane (y-pos I).
 		red := collective.On(nd, yCh).Reduce(6, I, c)
 		if I == J {
-			out[nd.ID] = red // sub-block of C_{K,I}
+			return red // sub-block of C_{K,I}
 		}
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-
-	C := matrix.New(n, n)
-	for I := 0; I < qs; I++ {
-		for K := 0; K < qs; K++ {
-			cBlk := matrix.New(n/qs, n/qs)
-			for i := 0; i < qr; i++ {
-				for j := 0; j < qr; j++ {
-					cBlk.SetGridBlock(qr, qr, i, j, out[node(I, I, K, i, j)])
-				}
-			}
-			C.SetGridBlock(qs, qs, K, I, cBlk)
-		}
-	}
-	return C, stats, nil
+		return nil
+	}}.Multiply(m, A, B)
 }

@@ -1,9 +1,10 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"hypermm/internal/algorithms"
+	"hypermm/internal/core"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -20,7 +21,7 @@ func TestThreeDiagCannonCorrect(t *testing.T) {
 		for _, c := range cases {
 			A := matrix.Random(c.n, c.n, int64(3*c.p+c.n))
 			B := matrix.Random(c.n, c.n, int64(3*c.p+c.n+1))
-			C, _, err := ThreeDiagCannon(newM(c.p, pm, 10, 1, 0.1), A, B, c.s)
+			C, _, err := core.ThreeDiagCannon(newM(c.p, pm, 10, 1, 0.1), A, B, c.s)
 			if err != nil {
 				t.Fatalf("p=%d s=%d n=%d %v: %v", c.p, c.s, c.n, pm, err)
 			}
@@ -48,7 +49,7 @@ func TestThreeDiagCannonBeatsDNSCannon(t *testing.T) {
 		return rs.Elapsed
 	}
 	run3dd := func(m *simnet.Machine) (simnet.RunStats, error) {
-		_, rs, err := ThreeDiagCannon(m, A, B, s)
+		_, rs, err := core.ThreeDiagCannon(m, A, B, s)
 		return rs, err
 	}
 	runDNS := func(m *simnet.Machine) (simnet.RunStats, error) {
@@ -75,7 +76,7 @@ func TestThreeDiagCannonSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, combo, err := ThreeDiagCannon(newM(512, simnet.OnePort, 1, 1, 0), A, B, 8)
+	_, combo, err := core.ThreeDiagCannon(newM(512, simnet.OnePort, 1, 1, 0), A, B, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +87,10 @@ func TestThreeDiagCannonSpace(t *testing.T) {
 
 func TestThreeDiagCannonRejectsBadShapes(t *testing.T) {
 	A := matrix.New(16, 16)
-	if _, _, err := ThreeDiagCannon(newM(32, simnet.OnePort, 1, 1, 0), A, A, 16); err == nil {
+	if _, _, err := core.ThreeDiagCannon(newM(32, simnet.OnePort, 1, 1, 0), A, A, 16); err == nil {
 		t.Error("accepted non-cube s")
 	}
-	if _, _, err := ThreeDiagCannon(newM(64, simnet.OnePort, 1, 1, 0), A, A, 8); err == nil {
+	if _, _, err := core.ThreeDiagCannon(newM(64, simnet.OnePort, 1, 1, 0), A, A, 8); err == nil {
 		t.Error("accepted non-square r")
 	}
 }

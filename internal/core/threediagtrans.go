@@ -3,6 +3,8 @@ package core
 import (
 	"hypermm/internal/algorithms"
 	"hypermm/internal/collective"
+	"hypermm/internal/hypercube"
+	"hypermm/internal/layout"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -19,74 +21,46 @@ import (
 // of the 2-D scheme is replaced by point-to-point communication of
 // B_{i,k} from p_{i,i,k} to p_{k,i,k}, followed by a one-to-all
 // broadcast of B_{i,k} along z to p_{k,i,*}; A broadcasts along x as
-// in the 2-D scheme; the reduction runs along y onto the diagonal.
+// in the 2-D scheme; the reduction runs along y onto the diagonal. It
+// runs on layout.DiagPlaneTrans, the one distribution hmm layout prints
+// outside the algorithm table.
 func ThreeDiagTrans(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := algorithms.CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := algorithms.Grid3DFor(m, n, false)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	q := g.Q
-	blk := n / q
+	return algorithms.Spec{Dist: layout.DiagPlaneTrans, Run: threeDiagTrans}.Multiply(m, A, B)
+}
 
-	// Initial distribution: p_{i,i,k} holds A_{k,i} and B_{i,k} —
-	// B distributed as A's transpose.
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for i := 0; i < q; i++ {
-		for k := 0; k < q; k++ {
-			id := g.Node(i, i, k)
-			aIn[id] = A.GridBlock(q, q, k, i)
-			bIn[id] = B.GridBlock(q, q, i, k)
-		}
+func threeDiagTrans(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	g := hypercube.NewGrid3D(nd.P())
+	blk := n / g.Q
+	i, j, k := g.Coords(nd.ID)
+
+	// Phase 1: point-to-point along x: B_{i,k} from p_{i,i,k} to
+	// p_{k,i,k}.
+	if i == j {
+		nd.SendM(g.Node(k, i, k), 1, b)
+	}
+	var bRoot *matrix.Dense
+	if i == k {
+		// p_{k,i,k} in the paper's naming: our x == z here; we
+		// receive B_{j,i} from p_{j,j,i} (the diagonal node whose
+		// y matches ours).
+		bRoot = nd.RecvM(g.Node(j, j, i), 1)
 	}
 
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j, k := g.Coords(nd.ID)
+	// Phase 2: broadcast A_{k,j} along x (root x-pos j, a diagonal
+	// node) and the lifted B along z (root z-pos i... the chain
+	// p_{i,j,*} is rooted at the node whose z equals its x).
+	opA := collective.On(nd, g.XChain(j, k)).NewBcast(2, j, blk, blk, a)
+	opB := collective.On(nd, g.ZChain(i, j)).NewBcast(3, i, blk, blk, bRoot)
+	collective.Run(opA, opB)
+	a, b = opA.Result(), opB.Result() // A_{k,j}, B_{j,i}
 
-		// Phase 1: point-to-point along x: B_{i,k} from p_{i,i,k} to
-		// p_{k,i,k}.
-		if i == j {
-			nd.SendM(g.Node(k, i, k), 1, bIn[nd.ID])
-		}
-		var bRoot *matrix.Dense
-		if i == k {
-			// p_{k,i,k} in the paper's naming: our x == z here; we
-			// receive B_{j,i} from p_{j,j,i} (the diagonal node whose
-			// y matches ours).
-			bRoot = nd.RecvM(g.Node(j, j, i), 1)
-		}
+	nd.NoteWords(2 * a.Words())
 
-		// Phase 2: broadcast A_{k,j} along x (root x-pos j, a diagonal
-		// node) and the lifted B along z (root z-pos i... the chain
-		// p_{i,j,*} is rooted at the node whose z equals its x).
-		opA := collective.On(nd, g.XChain(j, k)).NewBcast(2, j, blk, blk, aIn[nd.ID])
-		opB := collective.On(nd, g.ZChain(i, j)).NewBcast(3, i, blk, blk, bRoot)
-		collective.Run(opA, opB)
-		a, b := opA.Result(), opB.Result() // A_{k,j}, B_{j,i}
-
-		nd.NoteWords(2 * a.Words())
-
-		// Compute and reduce along y onto the diagonal plane.
-		i3 := nd.Mul(a, b)
-		c := collective.On(nd, g.YChain(i, k)).Reduce(4, i, i3)
-		if i == j {
-			out[nd.ID] = c // C_{k,i}, aligned like A (not like B)
-		}
-	})
-	if err != nil {
-		return nil, stats, err
+	// Compute and reduce along y onto the diagonal plane.
+	i3 := nd.Mul(a, b)
+	c := collective.On(nd, g.YChain(i, k)).Reduce(4, i, i3)
+	if i == j {
+		return c // C_{k,i}, aligned like A (not like B)
 	}
-
-	C := matrix.New(n, n)
-	for i := 0; i < q; i++ {
-		for k := 0; k < q; k++ {
-			C.SetGridBlock(q, q, k, i, out[g.Node(i, i, k)])
-		}
-	}
-	return C, stats, nil
+	return nil
 }

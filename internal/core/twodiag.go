@@ -1,8 +1,8 @@
 package core
 
 import (
-	"hypermm/internal/algorithms"
 	"hypermm/internal/collective"
+	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -18,66 +18,37 @@ import (
 // overlap. Each p_{k,j} then computes the k-th column group of the
 // outer product. Phase 2 reduces along processor rows onto the
 // diagonal, leaving C distributed exactly like A — column group k on
-// p_{k,k}.
-func TwoDiag(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
-	n, err := algorithms.CheckSquareOperands(A, B)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
-	g, err := algorithms.Grid2DFor(m, n)
-	if err != nil {
-		return nil, simnet.RunStats{}, err
-	}
+// p_{k,k}. It runs on layout.Diagonal2D.
+func TwoDiag(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
+	g := hypercube.NewGrid2D(nd.P())
 	q := g.Q
+	i, j := g.Coords(nd.ID)
+	col := collective.On(nd, g.ColChain(j))
 
-	// Initial distribution (free): diagonal processor p_{j,j} holds
-	// A's and B's j-th groups.
-	aIn := make([]*matrix.Dense, m.P())
-	bIn := make([]*matrix.Dense, m.P())
-	for j := 0; j < q; j++ {
-		id := g.Node(j, j)
-		aIn[id] = A.ColGroup(q, j) // n x n/q
-		bIn[id] = B.RowGroup(q, j) // n/q x n
-	}
-
-	out := make([]*matrix.Dense, m.P())
-	stats, err := m.RunErr(func(nd *simnet.Node) {
-		i, j := g.Coords(nd.ID)
-		col := collective.On(nd, g.ColChain(j))
-
-		// Phase 1 (down column j, root = diagonal position j):
-		// scatter B_{j,*} by column groups and broadcast A_{*,j}.
-		var bPieces []*matrix.Dense
-		if i == j {
-			bPieces = make([]*matrix.Dense, q)
-			for k := 0; k < q; k++ {
-				bPieces[k] = bIn[nd.ID].ColGroup(q, k) // B_{j,k}: n/q x n/q
-			}
+	// Phase 1 (down column j, root = diagonal position j):
+	// scatter B_{j,*} by column groups and broadcast A_{*,j}.
+	var bPieces []*matrix.Dense
+	if i == j {
+		bPieces = make([]*matrix.Dense, q)
+		for k := 0; k < q; k++ {
+			bPieces[k] = b.ColGroup(q, k) // B_{j,k}: n/q x n/q
 		}
-		scat := col.NewScatter(1, j, n/q, n/q, bPieces)
-		bc := col.NewBcast(2, j, n, n/q, aIn[nd.ID])
-		collective.Run(scat, bc)
-		bPiece, aCol := scat.Result(), bc.Result()
-
-		nd.NoteWords(aCol.Words() + bPiece.Words() + aCol.Words())
-
-		// Local outer-product slice: column group i of A_{*,j} B_{j,*}.
-		islice := nd.Mul(aCol, bPiece) // n x n/q
-
-		// Phase 2: reduce along row i onto the diagonal p_{i,i}.
-		row := collective.On(nd, g.RowChain(i))
-		c := row.Reduce(3, i, islice)
-		if i == j {
-			out[nd.ID] = c // column group i of C
-		}
-	})
-	if err != nil {
-		return nil, stats, err
 	}
+	scat := col.NewScatter(1, j, n/q, n/q, bPieces)
+	bc := col.NewBcast(2, j, n, n/q, a)
+	collective.Run(scat, bc)
+	bPiece, aCol := scat.Result(), bc.Result()
 
-	cols := make([]*matrix.Dense, q)
-	for j := 0; j < q; j++ {
-		cols[j] = out[g.Node(j, j)]
+	nd.NoteWords(aCol.Words() + bPiece.Words() + aCol.Words())
+
+	// Local outer-product slice: column group i of A_{*,j} B_{j,*}.
+	islice := nd.Mul(aCol, bPiece) // n x n/q
+
+	// Phase 2: reduce along row i onto the diagonal p_{i,i}.
+	row := collective.On(nd, g.RowChain(i))
+	c := row.Reduce(3, i, islice)
+	if i == j {
+		return c // column group i of C
 	}
-	return matrix.ConcatCols(cols...), stats, nil
+	return nil
 }

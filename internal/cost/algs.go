@@ -7,6 +7,7 @@ import (
 
 	"hypermm/internal/algorithms"
 	"hypermm/internal/core"
+	"hypermm/internal/layout"
 	"hypermm/internal/matrix"
 	"hypermm/internal/simnet"
 )
@@ -32,7 +33,10 @@ const (
 	numAlgs
 )
 
-// Algorithms lists every algorithm with a cost model.
+// Algorithms lists the algorithms of the paper's Tables 2 and 3, plus
+// Fox: every entry but TwoDiag, the Section 4.1.1 stepping stone, which
+// has no Table 2 row. hmm report's Table 2 and 3 sections range over
+// it.
 var Algorithms = []Alg{Simple, Cannon, HJE, Berntsen, DNS, ThreeDiag, AllTrans, ThreeAll, Fox}
 
 // Runner is an algorithm's SPMD implementation on a simulated machine.
@@ -40,22 +44,29 @@ type Runner func(*simnet.Machine, *matrix.Dense, *matrix.Dense) (*matrix.Dense, 
 
 // Entry is one algorithm's row of the algorithm table: how the command
 // line names it, how the paper's figures draw it, when it runs, what
-// Tables 2 and 3 charge for it, and the program that runs it.
+// Tables 2 and 3 charge for it, its distribution, and the node program
+// that runs on it.
 type Entry struct {
-	Name    string               // command-line name
-	Aliases []string             // further names the command line accepts
-	Title   string               // the paper's name
-	Letter  byte                 // region-map key (Figures 13 and 14)
-	Color   color.RGBA           // region-map colour, distinguishable in grayscale too
-	Shape   func(n, p int) error // the runner's integer shape rule
-	Aligned bool                 // result distributed exactly like the operands
-	Run     Runner
+	Name    string                                   // command-line name
+	Aliases []string                                 // further names the command line accepts
+	Title   string                                   // the paper's name
+	Letter  byte                                     // region-map key (Figures 13 and 14)
+	Color   color.RGBA                               // region-map colour, distinguishable in grayscale too
+	Shape   func(n, p int) error                     // the integer shape rule
+	Dist    func(p int) (layout.Distribution, error) // where A, B and C live; what hmm layout prints
+	Run     algorithms.Program                       // the node program
 
 	maxP     func(n float64) float64 // Table 3: applicable while p <= maxP(n)
 	space    func(v vars) float64    // Table 3: aggregate words over all processors
 	onePort  expr                    // Table 2's one-port row
 	multi    []row                   // Table 2's multi-port rows; the first whose condition holds applies
 	fallback expr                    // multi-port row when no condition holds (nil: the one-port row)
+}
+
+// Multiply runs the entry on m: its node program between a scatter of A
+// and B and a gather of C, all through its Dist.
+func (e *Entry) Multiply(m *simnet.Machine, A, B *matrix.Dense) (*matrix.Dense, simnet.RunStats, error) {
+	return algorithms.Spec{Shape: e.Shape, Dist: e.Dist, Run: e.Run}.Multiply(m, A, B)
 }
 
 // vars are the terms of (n, p) that the Table 2 and 3 expressions share.
@@ -104,7 +115,7 @@ func rgb(r, g, b uint8) color.RGBA { return color.RGBA{R: r, G: g, B: b, A: 0xff
 var table = [numAlgs]Entry{
 	Simple: {
 		Name: "simple", Title: "Simple", Letter: 'S', Color: rgb(0x88, 0x88, 0x88),
-		Shape: algorithms.CheckGrid2D, Aligned: true, Run: algorithms.Simple, maxP: squared,
+		Shape: algorithms.CheckGrid2D, Dist: layout.Block2D, Run: algorithms.Simple, maxP: squared,
 		space:   func(v vars) float64 { return 2 * v.n2 * v.sq },
 		onePort: func(v vars) (float64, float64) { return v.logp, 2 * v.n2 / v.sq * (1 - 1/v.sq) },
 		multi: []row{{bwSqrt, func(v vars) (float64, float64) {
@@ -113,14 +124,14 @@ var table = [numAlgs]Entry{
 	},
 	Cannon: {
 		Name: "cannon", Title: "Cannon", Letter: 'C', Color: rgb(0xd6, 0x60, 0x4f), // red-ish
-		Shape: algorithms.CheckGrid2D, Aligned: true, Run: algorithms.Cannon, maxP: squared,
+		Shape: algorithms.CheckGrid2D, Dist: layout.Block2D, Run: algorithms.Cannon, maxP: squared,
 		space:   func(v vars) float64 { return 3 * v.n2 },
 		onePort: cannonOnePort,
 		multi:   []row{{nil, cannonMultiPort}},
 	},
 	HJE: {
 		Name: "hje", Title: "Ho-Johnsson-Edelman", Letter: 'H', Color: rgb(0xe8, 0xa8, 0x3c), // amber
-		Shape: algorithms.CheckHJE, Aligned: true, Run: algorithms.HJE, maxP: squared,
+		Shape: algorithms.CheckHJE, Dist: layout.Binary2D, Run: algorithms.HJE, maxP: squared,
 		space:   func(v vars) float64 { return 3 * v.n2 },
 		onePort: cannonOnePort,
 		multi: []row{{func(v vars) bool { return v.n >= v.sq*lg(v.sq) }, func(v vars) (float64, float64) {
@@ -130,7 +141,7 @@ var table = [numAlgs]Entry{
 	},
 	Berntsen: {
 		Name: "berntsen", Title: "Berntsen", Letter: 'B', Color: rgb(0x7b, 0x5c, 0xa8), // violet
-		Shape: grid3DQ2, Run: algorithms.Berntsen, maxP: pow15,
+		Shape: grid3DQ2, Dist: layout.Berntsen, Run: algorithms.Berntsen, maxP: pow15,
 		space: func(v vars) float64 { return 2*v.n2 + v.n2*v.cb },
 		onePort: func(v vars) (float64, float64) {
 			return 2*(v.cb-1) + v.logp, v.n2 / v.p23 * (3*(1-1/v.cb) + 2*v.logp/(3*v.cb))
@@ -141,14 +152,14 @@ var table = [numAlgs]Entry{
 	},
 	DNS: {
 		Name: "dns", Title: "DNS", Letter: 'N', Color: rgb(0x4f, 0x8f, 0x8f), // teal
-		Shape: grid3D, Aligned: true, Run: algorithms.DNS, maxP: cubed,
+		Shape: grid3D, Dist: layout.ZPlane, Run: algorithms.DNS, maxP: cubed,
 		space:   func(v vars) float64 { return 2 * v.n2 * v.cb },
 		onePort: func(v vars) (float64, float64) { return 5.0 / 3 * v.logp, v.n2 / v.p23 * (5.0 / 3 * v.logp) },
 		multi:   []row{{bwP23, func(v vars) (float64, float64) { return 4.0 / 3 * v.logp, 4 * v.n2 / v.p23 }}},
 	},
 	TwoDiag: {
 		Name: "2dd", Aliases: []string{"2ddiag", "twodiag"}, Title: "2D Diagonal", Letter: '2', Color: rgb(0xc0, 0xc0, 0x60),
-		Shape: algorithms.CheckGrid2D, Run: core.TwoDiag, maxP: squared,
+		Shape: algorithms.CheckGrid2D, Dist: layout.Diagonal2D, Run: core.TwoDiag, maxP: squared,
 		space: func(v vars) float64 { return 2*v.n2 + v.n2*v.sq },
 		// Stepping-stone algorithm (Section 4.1.1); not in Table 2.
 		// Scatter+bcast down columns, then reduce along rows.
@@ -161,14 +172,14 @@ var table = [numAlgs]Entry{
 	},
 	ThreeDiag: {
 		Name: "3dd", Aliases: []string{"3ddiag", "threediag"}, Title: "3DD", Letter: 'D', Color: rgb(0x3a, 0x6e, 0xc0), // blue
-		Shape: grid3D, Aligned: true, Run: core.ThreeDiag, maxP: cubed,
+		Shape: grid3D, Dist: layout.DiagPlane, Run: core.ThreeDiag, maxP: cubed,
 		space:   func(v vars) float64 { return 2 * v.n2 * v.cb },
 		onePort: func(v vars) (float64, float64) { return 4.0 / 3 * v.logp, v.n2 / v.p23 * (4.0 / 3 * v.logp) },
 		multi:   []row{{bwP23, func(v vars) (float64, float64) { return v.logp, 3 * v.n2 / v.p23 }}},
 	},
 	AllTrans: {
 		Name: "alltrans", Aliases: []string{"3dalltrans"}, Title: "3D All_Trans", Letter: 'T', Color: rgb(0x5f, 0xb0, 0x6a), // light green
-		Shape: grid3DQ2, Run: core.AllTrans, maxP: pow15,
+		Shape: grid3DQ2, Dist: layout.Fig8Trans, Run: core.AllTrans, maxP: pow15,
 		space: func(v vars) float64 { return 2 * v.n2 * v.cb },
 		onePort: func(v vars) (float64, float64) {
 			return 4.0 / 3 * v.logp, v.n2 / v.p23 * (3*(1-1/v.cb) + v.logp/3)
@@ -179,7 +190,7 @@ var table = [numAlgs]Entry{
 	},
 	ThreeAll: {
 		Name: "3dall", Aliases: []string{"threeall"}, Title: "3D All", Letter: 'A', Color: rgb(0x1f, 0x7a, 0x33), // green
-		Shape: grid3DQ2, Aligned: true, Run: core.ThreeAll, maxP: pow15,
+		Shape: grid3DQ2, Dist: layout.Fig8, Run: core.ThreeAll, maxP: pow15,
 		space: func(v vars) float64 { return 2 * v.n2 * v.cb },
 		onePort: func(v vars) (float64, float64) {
 			return 4.0 / 3 * v.logp, v.n2 / v.p23 * (3*(1-1/v.cb) + v.logp/(6*v.cb))
@@ -199,7 +210,7 @@ var table = [numAlgs]Entry{
 	},
 	Fox: {
 		Name: "fox", Title: "Fox-Otto-Hey", Letter: 'F', Color: rgb(0xa0, 0x52, 0x2d), // sienna
-		Shape: algorithms.CheckGrid2D, Aligned: true, Run: algorithms.Fox, maxP: squared,
+		Shape: algorithms.CheckGrid2D, Dist: layout.Block2D, Run: algorithms.Fox, maxP: squared,
 		space: func(v vars) float64 { return 3 * v.n2 },
 		// sqrt(p) row broadcasts of m = n^2/p words plus sqrt(p)-1
 		// column shifts.

@@ -368,8 +368,8 @@ func TestNamesAndLettersComplete(t *testing.T) {
 			t.Errorf("%v: bad or duplicate colour %v", a, c)
 		}
 		colors[a.Color()] = true
-		if e.Shape == nil || e.Run == nil {
-			t.Errorf("%v: entry lacks a shape rule or runner", a)
+		if e.Shape == nil || e.Dist == nil || e.Run == nil {
+			t.Errorf("%v: entry lacks a shape rule, distribution or node program", a)
 		}
 	}
 	for _, a := range []Alg{-1, numAlgs, 99} {

@@ -23,7 +23,7 @@ func measured(t *testing.T, alg Alg, p, n int, pm simnet.PortModel) (a, b float6
 	B := matrix.Random(n, n, 22)
 	for i, cfg := range []struct{ ts, tw float64 }{{1, 0}, {0, 1}} {
 		m := simnet.NewMachine(simnet.Config{P: p, Ports: pm, Ts: cfg.ts, Tw: cfg.tw})
-		_, rs, err := e.Run(m, A, B)
+		_, rs, err := e.Multiply(m, A, B)
 		if err != nil {
 			t.Fatalf("%v p=%d n=%d: %v", alg, p, n, err)
 		}
@@ -101,7 +101,7 @@ func TestMeasuredOrderingMatchesAnalytic(t *testing.T) {
 	for _, alg := range []Alg{Cannon, Berntsen, ThreeDiag, ThreeAll} {
 		e, _ := Lookup(alg)
 		m := simnet.NewMachine(simnet.Config{P: p, Ports: simnet.OnePort, Ts: ts, Tw: tw})
-		_, st, err := e.Run(m, A, B)
+		_, st, err := e.Multiply(m, A, B)
 		if err != nil {
 			t.Fatal(err)
 		}

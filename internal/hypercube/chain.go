@@ -247,6 +247,105 @@ func (g Grid3D) ZChain(i, j int) Chain {
 	return NewChain(Gray(i)<<(2*g.d)|Gray(j)<<g.d, dimsRange(0, g.d))
 }
 
+// GridRect embeds a Q x Qy x Q virtual grid into a hypercube of
+// p = Q^2 Qy nodes the way Grid3D embeds a cube: Gray(i) in the high
+// log Q dimensions (x), Gray(j) in the middle log Qy (y), Gray(k) in
+// the low log Q (z). Qy = Q gives Grid3D's addresses. It is the grid of
+// the rectangular 3-D All variant.
+type GridRect struct {
+	Q, Qy  int
+	dq, dy int // log2 Q, log2 Qy
+}
+
+// NewGridRect builds the embedding for p processors with y extent qy:
+// p and qy powers of two, p/qy an even power of two.
+func NewGridRect(p, qy int) (GridRect, error) {
+	if !IsPow2(p) || !IsPow2(qy) {
+		return GridRect{}, fmt.Errorf("hypercube: p=%d and qy=%d must be powers of two", p, qy)
+	}
+	if p%qy != 0 {
+		return GridRect{}, fmt.Errorf("hypercube: qy=%d does not divide p=%d", qy, p)
+	}
+	dq2 := Log2(p / qy)
+	if dq2%2 != 0 {
+		return GridRect{}, fmt.Errorf("hypercube: p/qy=%d is not a square power of two", p/qy)
+	}
+	return GridRect{Q: 1 << (dq2 / 2), Qy: qy, dq: dq2 / 2, dy: Log2(qy)}, nil
+}
+
+// Node returns the physical address of grid processor p_{i,j,k}.
+func (g GridRect) Node(i, j, k int) int {
+	return Gray(i)<<(g.dq+g.dy) | Gray(j)<<g.dq | Gray(k)
+}
+
+// Coords returns the grid coordinates (i, j, k) of a physical node.
+func (g GridRect) Coords(node int) (i, j, k int) {
+	return GrayRank(node >> (g.dq + g.dy)), GrayRank((node >> g.dq) & (1<<g.dy - 1)), GrayRank(node & (1<<g.dq - 1))
+}
+
+// Lines returns the x, y and z lines through a physical node.
+func (g GridRect) Lines(node int) (x, y, z Chain) {
+	return Line(node, g.dq+g.dy, g.dq), Line(node, g.dq, g.dy), Line(node, 0, g.dq)
+}
+
+// Supergrid views p = s*r nodes as a cbrt(s)^3 grid of supernodes, each
+// a sqrt(r) x sqrt(r) mesh. A node's address is [Gray(I) | Gray(J) |
+// Gray(K) | Gray(i) | Gray(j)], supernode coordinates high and mesh
+// coordinates low, so every supernode-axis line and every mesh row and
+// column is a subcube. It is the grid of the DNS+Cannon and 3DD+Cannon
+// combinations; s = p is Grid3D and s = 1 is Grid2D.
+type Supergrid struct {
+	Qs, Qr int // supernodes per grid axis, mesh processors per mesh axis
+	ds, dm int // log2 Qs, log2 Qr
+}
+
+// NewSupergrid builds the view for p processors in s supernodes: s a
+// power of eight dividing p, and r = p/s a power of four.
+func NewSupergrid(p, s int) (Supergrid, error) {
+	if s <= 0 || p%s != 0 {
+		return Supergrid{}, fmt.Errorf("hypercube: supernode count %d does not divide p=%d", s, p)
+	}
+	r := p / s
+	if !IsPow2(s) || Log2(s)%3 != 0 {
+		return Supergrid{}, fmt.Errorf("hypercube: s=%d is not a perfect cube power of two", s)
+	}
+	if !IsPow2(r) || Log2(r)%2 != 0 {
+		return Supergrid{}, fmt.Errorf("hypercube: r=p/s=%d is not a perfect square power of two", r)
+	}
+	ds, dm := Log2(s)/3, Log2(r)/2
+	return Supergrid{Qs: 1 << ds, Qr: 1 << dm, ds: ds, dm: dm}, nil
+}
+
+// Node returns the address of mesh processor (i, j) of supernode
+// (I, J, K).
+func (g Supergrid) Node(I, J, K, i, j int) int {
+	return Gray(I)<<(2*g.ds+2*g.dm) | Gray(J)<<(g.ds+2*g.dm) | Gray(K)<<(2*g.dm) | Gray(i)<<g.dm | Gray(j)
+}
+
+// Coords inverts Node.
+func (g Supergrid) Coords(node int) (I, J, K, i, j int) {
+	ms, mm := 1<<g.ds-1, 1<<g.dm-1
+	return GrayRank(node >> (2*g.ds + 2*g.dm) & ms),
+		GrayRank(node >> (g.ds + 2*g.dm) & ms),
+		GrayRank(node >> (2 * g.dm) & ms),
+		GrayRank(node >> g.dm & mm),
+		GrayRank(node & mm)
+}
+
+// Lines returns the chains through a physical node along the supernode
+// axes x, y and z (the node's mesh position in every supernode of the
+// line), and along its mesh row and column.
+func (g Supergrid) Lines(node int) (x, y, z, row, col Chain) {
+	return Line(node, 2*g.ds+2*g.dm, g.ds), Line(node, g.ds+2*g.dm, g.ds), Line(node, 2*g.dm, g.ds),
+		Line(node, 0, g.dm), Line(node, g.dm, g.dm)
+}
+
+// Line returns the chain through a physical node that spans the w
+// dimensions lo, ..., lo+w-1.
+func Line(node, lo, w int) Chain {
+	return NewChain(node&^((1<<w-1)<<lo), dimsRange(lo, w))
+}
+
 // dimsRange returns the physical dimensions lo, lo+1, ..., lo+n-1.
 func dimsRange(lo, n int) []int {
 	ds := make([]int, n)

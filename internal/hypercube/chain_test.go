@@ -155,6 +155,69 @@ func TestGrid3DChains(t *testing.T) {
 	}
 }
 
+// TestGridRectAndSupergridSpecialCases pins the address identities the
+// two grids' doc comments state: GridRect with qy = cbrt(p) is Grid3D,
+// Supergrid with s = p is Grid3D and with s = 1 is Grid2D; their Lines
+// are Grid3D's and Grid2D's chains; Coords inverts Node.
+func TestGridRectAndSupergridSpecialCases(t *testing.T) {
+	const p = 64
+	g3, g2 := NewGrid3D(p), NewGrid2D(p)
+	rect, err := NewGridRect(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube, err := NewSupergrid(p, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := NewSupergrid(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			for k := 0; k < 4; k++ {
+				n := g3.Node(i, j, k)
+				if rect.Node(i, j, k) != n || cube.Node(i, j, k, 0, 0) != n {
+					t.Fatalf("(%d,%d,%d): GridRect %d, Supergrid %d, Grid3D %d", i, j, k, rect.Node(i, j, k), cube.Node(i, j, k, 0, 0), n)
+				}
+				if ri, rj, rk := rect.Coords(n); ri != i || rj != j || rk != k {
+					t.Fatalf("GridRect.Coords(%d) = (%d,%d,%d)", n, ri, rj, rk)
+				}
+				x, y, z := rect.Lines(n)
+				if x.String() != g3.XChain(j, k).String() || y.String() != g3.YChain(i, k).String() || z.String() != g3.ZChain(i, j).String() {
+					t.Fatalf("GridRect.Lines(%d) differ from Grid3D's chains", n)
+				}
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			n := g2.Node(i, j)
+			if mesh.Node(0, 0, 0, i, j) != n {
+				t.Fatalf("(%d,%d): Supergrid %d, Grid2D %d", i, j, mesh.Node(0, 0, 0, i, j), n)
+			}
+			if I, J, K, mi, mj := mesh.Coords(n); I != 0 || J != 0 || K != 0 || mi != i || mj != j {
+				t.Fatalf("Supergrid.Coords(%d) = (%d,%d,%d,%d,%d)", n, I, J, K, mi, mj)
+			}
+			_, _, _, row, col := mesh.Lines(n)
+			if row.String() != g2.RowChain(i).String() || col.String() != g2.ColChain(j).String() {
+				t.Fatalf("Supergrid.Lines(%d) differ from Grid2D's chains", n)
+			}
+		}
+	}
+	for _, bad := range [][2]int{{64, 3}, {64, 8}, {32, 64}} {
+		if _, err := NewGridRect(bad[0], bad[1]); err == nil {
+			t.Errorf("NewGridRect(%d, %d) accepted", bad[0], bad[1])
+		}
+	}
+	for _, bad := range [][2]int{{32, 16}, {64, 8}, {32, 5}} {
+		if _, err := NewSupergrid(bad[0], bad[1]); err == nil {
+			t.Errorf("NewSupergrid(%d, %d) accepted", bad[0], bad[1])
+		}
+	}
+}
+
 func TestGridPanicsOnBadSize(t *testing.T) {
 	for _, p := range []int{8, 32} { // odd cube dims
 		func() {

@@ -3,8 +3,6 @@ package hypermm
 import (
 	"fmt"
 	"testing"
-
-	"hypermm/internal/layout"
 )
 
 // TestCorrectnessSweep runs every algorithm across a grid of machine
@@ -87,28 +85,6 @@ func TestSpecialOperandsSweep(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAlignedMatchesLayouts ties the facade's Aligned() answers to the
-// declarative distribution descriptors in internal/layout.
-func TestAlignedMatchesLayouts(t *testing.T) {
-	pFor := func(alg Algorithm) int {
-		switch alg {
-		case Simple, Cannon, HJE, TwoDiag, Fox:
-			return 16
-		default:
-			return 64
-		}
-	}
-	for _, alg := range Algorithms {
-		d, err := layout.For(alg.Name(), pFor(alg))
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if got, want := Aligned(alg), d.Aligned(); got != want {
-			t.Errorf("%v: facade Aligned()=%v, layout descriptors say %v", alg, got, want)
-		}
 	}
 }
 
