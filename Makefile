@@ -38,7 +38,7 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test -race ./...
 
-# Short fuzz pass over the collective, matrix and layout targets (seed corpus +
+# Short fuzz pass over the collective, matrix, layout and codec targets (seed corpus +
 # 10s of exploration each); not part of check, run before touching the
 # collectives.
 FUZZTIME ?= 10s
@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/calibrate -run XXX -fuzz FuzzProfileParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run XXX -fuzz FuzzTraceContext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run XXX -fuzz FuzzQoSConfigParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run XXX -fuzz FuzzDecodeMatmul -fuzztime $(FUZZTIME)
 
 # Differential verification under fault injection: the conformance
 # catalogue's differential oracle alone; deterministic for a fixed -seed.

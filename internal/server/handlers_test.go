@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -402,18 +403,120 @@ func TestMatmulInlineOperands(t *testing.T) {
 	if err := json.NewEncoder(&buf).Encode(req); err != nil {
 		t.Fatal(err)
 	}
-	resp, data := postMatmul(t, ts, buf.String())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var mr MatmulResponse
-	if err := json.Unmarshal(data, &mr); err != nil {
-		t.Fatal(err)
-	}
 	want := []float64{5, 6, 7, 8}
-	for i, v := range mr.C {
-		if v != want[i] {
-			t.Fatalf("C = %v, want %v", mr.C, want)
+	check := func(how string, status int, data []byte) {
+		t.Helper()
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", how, status, data)
 		}
+		var mr MatmulResponse
+		if err := json.Unmarshal(data, &mr); err != nil {
+			t.Fatal(err)
+		}
+		if len(mr.C) != len(want) {
+			t.Fatalf("%s: C = %v, want %v", how, mr.C, want)
+		}
+		for i, v := range mr.C {
+			if v != want[i] {
+				t.Fatalf("%s: C = %v, want %v", how, mr.C, want)
+			}
+		}
+	}
+	resp, data := postMatmul(t, ts, buf.String())
+	check("with Content-Length", resp.StatusCode, data)
+
+	// Without a Content-Length (chunked) the body is read to its end.
+	r := httptest.NewRequest(http.MethodPost, "/v1/matmul", bytes.NewReader(buf.Bytes()))
+	r.ContentLength = -1
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, r)
+	check("chunked", rec.Code, rec.Body.Bytes())
+}
+
+// TestMatmulBodyLimit: bodies past 2·MaxN²·32 bytes + 1 MiB are
+// refused with 413 — by Content-Length before anything is allocated,
+// or once reading passes the limit when the length is unknown or
+// understated — and a body of exactly the limit is served.
+func TestMatmulBodyLimit(t *testing.T) {
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2, MaxN: 16})
+	limit := srv.cfg.maxBody()
+	if limit != 2*16*16*32+1<<20 {
+		t.Fatalf("limit %d", limit)
+	}
+	// A valid request padded with an unknown string field to size bytes.
+	padded := func(size int64) string {
+		head, tail := `{"n": 16, "p": 8, "pad": "`, `"}`
+		return head + strings.Repeat("x", int(size)-len(head)-len(tail)) + tail
+	}
+	cases := []struct {
+		name   string
+		body   string
+		length int64 // Content-Length; -1 is chunked
+		want   int
+	}{
+		{"chunked, one byte over", padded(limit + 1), -1, http.StatusRequestEntityTooLarge},
+		{"chunked, at the limit", padded(limit), -1, http.StatusOK},
+		{"Content-Length over", padded(2 * limit), 2 * limit, http.StatusRequestEntityTooLarge},
+		{"Content-Length of 1 TiB", `{"n": 16, "p": 8}`, 1 << 40, http.StatusRequestEntityTooLarge},
+	}
+	for _, c := range cases {
+		r := httptest.NewRequest(http.MethodPost, "/v1/matmul", strings.NewReader(c.body))
+		r.ContentLength = c.length
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, r)
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d (%.200s)", c.name, rec.Code, c.want, rec.Body.String())
+			continue
+		}
+		if c.want != http.StatusRequestEntityTooLarge {
+			continue
+		}
+		var e apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != fmt.Sprintf("request body over %d bytes", limit) {
+			t.Errorf("%s: error body %q (%v)", c.name, rec.Body.String(), err)
+		}
+	}
+}
+
+// TestMatmulNonFiniteProduct: 1e300 operands overflow the product to
+// +Inf, which JSON cannot carry; asking for it back is a 422, not a 200
+// with an empty body. Without return_matrix the run is served.
+func TestMatmulNonFiniteProduct(t *testing.T) {
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	big := make([]float64, 16)
+	for i := range big {
+		big[i] = 1e300
+	}
+	for _, ret := range []bool{true, false} {
+		body, err := json.Marshal(MatmulRequest{N: 4, P: 4, Algorithm: "cannon", A: big, B: big, ReturnC: ret})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postMatmul(t, ts, string(body))
+		if !ret {
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("without return_matrix: status %d: %s", resp.StatusCode, data)
+			}
+			continue
+		}
+		var e apiError
+		if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(data, &e) != nil || e.Error != "product is not finite" {
+			t.Errorf("return_matrix: status %d, body %q; want 422 product is not finite", resp.StatusCode, data)
+		}
+	}
+}
+
+// TestWriteJSONUnencodable: a value JSON cannot encode is a 500 with
+// the encoder's error, not the status asked for over an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	var e apiError
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
+		!strings.Contains(e.Error, "unsupported value") {
+		t.Errorf("status %d, body %q; want 500 with the encoder's error", rec.Code, rec.Body.String())
 	}
 }
