@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build test race vet fuzz chaos bench bench-check bench-compare serve-smoke calibrate-smoke cluster-smoke obs-smoke qos-smoke soak soak-smoke clean
+.PHONY: check fmt build test race vet fuzz chaos bench bench-check bench-compare serve-smoke calibrate-smoke cluster-smoke obs-smoke qos-smoke soak soak-smoke leftovers clean
 
 check: fmt vet build test race server-race bench-check
 
@@ -62,7 +62,11 @@ chaos:
 # The smoke targets below drive their daemons with a built stress
 # client (killing `go run` would leave its child alive) and trap
 # EXIT/INT/TERM right after the daemons start, so an interrupted recipe
-# cannot orphan them.
+# cannot orphan them. A SIGKILLed recipe runs no trap, so every daemon
+# also runs under `timeout -k 5 120`: whatever happens to the recipe,
+# nothing it started outlives two minutes. timeout passes TERM
+# on to its daemon, so killing the timeout pid stops the daemon.
+SMOKE_TIMEOUT = timeout -k 5 120
 
 # Boot hmmd, fire one request through the stress client's load-generator
 # mode, and assert a 200 plus a non-empty /metrics scrape.
@@ -70,7 +74,7 @@ SMOKE_ADDR ?= 127.0.0.1:17117
 serve-smoke:
 	$(GO) build -o /tmp/hmmd-smoke ./cmd/hmmd
 	$(GO) build -o /tmp/hmm-stress ./cmd/stress
-	@/tmp/hmmd-smoke -addr $(SMOKE_ADDR) & pid=$$!; \
+	@$(SMOKE_TIMEOUT) /tmp/hmmd-smoke -addr $(SMOKE_ADDR) & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null' EXIT INT TERM; \
 	/tmp/hmm-stress -url http://$(SMOKE_ADDR) -requests 1 -c 1 -n 64 -p 64 -smoke; rc=$$?; \
 	kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
@@ -87,14 +91,16 @@ CLUSTER_ADDR ?= 127.0.0.1:17218
 cluster-smoke:
 	$(GO) build -o /tmp/hmmd-cluster ./cmd/hmmd
 	$(GO) build -o /tmp/hmm-stress ./cmd/stress
-	@/tmp/hmmd-cluster -role coordinator -addr $(CLUSTER_HTTP) -cluster-addr $(CLUSTER_ADDR) & cpid=$$!; \
-	/tmp/hmmd-cluster -role worker -join $(CLUSTER_ADDR) -addr 127.0.0.1:0 -name w1 -workers 2 & w1pid=$$!; \
-	/tmp/hmmd-cluster -role worker -join $(CLUSTER_ADDR) -addr 127.0.0.1:0 -name w2 -workers 2 & w2pid=$$!; \
-	trap 'kill $$cpid $$w1pid $$w2pid 2>/dev/null' EXIT INT TERM; \
+	@$(SMOKE_TIMEOUT) /tmp/hmmd-cluster -role coordinator -addr $(CLUSTER_HTTP) -cluster-addr $(CLUSTER_ADDR) & cpid=$$!; \
+	$(SMOKE_TIMEOUT) /tmp/hmmd-cluster -role worker -join $(CLUSTER_ADDR) -addr 127.0.0.1:0 -name w1 -workers 2 & w1t=$$!; \
+	$(SMOKE_TIMEOUT) /tmp/hmmd-cluster -role worker -join $(CLUSTER_ADDR) -addr 127.0.0.1:0 -name w2 -workers 2 & w2pid=$$!; \
+	trap 'kill $$cpid $$w1t $$w2pid 2>/dev/null' EXIT INT TERM; \
+	for i in $$(seq 50); do w1pid=$$(pgrep -P $$w1t) && break; sleep 0.1; done; \
+	[ -n "$$w1pid" ] || { echo "cluster-smoke: w1 worker process not found under timeout pid $$w1t" >&2; exit 1; }; \
 	/tmp/hmm-stress -url http://$(CLUSTER_HTTP) -requests 12 -c 6 -n 192 -p 64 \
 		-cluster 2 -kill-after 1 -kill-pid $$w1pid -smoke; rc=$$?; \
 	kill -TERM $$cpid $$w2pid 2>/dev/null; kill -KILL $$w1pid 2>/dev/null; \
-	wait $$cpid 2>/dev/null; wait $$w2pid 2>/dev/null; \
+	wait $$cpid 2>/dev/null; wait $$w1t 2>/dev/null; wait $$w2pid 2>/dev/null; \
 	rm -f /tmp/hmmd-cluster /tmp/hmm-stress; exit $$rc
 
 # Observability smoke: boot hmmd with profiling on, serve one traced
@@ -107,7 +113,7 @@ OBS_TRACE ?= /tmp/hmmd-obs-trace.json
 obs-smoke:
 	$(GO) build -o /tmp/hmmd-obs ./cmd/hmmd
 	$(GO) build -o /tmp/hmm-stress ./cmd/stress
-	@/tmp/hmmd-obs -addr $(OBS_ADDR) -pprof & pid=$$!; \
+	@$(SMOKE_TIMEOUT) /tmp/hmmd-obs -addr $(OBS_ADDR) -pprof & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null' EXIT INT TERM; \
 	/tmp/hmm-stress -url http://$(OBS_ADDR) -requests 1 -c 1 -n 64 -p 64 \
 		-smoke -trace-out $(OBS_TRACE) -pprof-check; rc=$$?; \
@@ -125,10 +131,10 @@ QOS_CONF ?= cmd/hmmd/testdata/qos.json
 qos-smoke:
 	$(GO) build -o /tmp/hmmd-qos ./cmd/hmmd
 	$(GO) build -o /tmp/hmm-stress ./cmd/stress
-	@/tmp/hmmd-qos -role coordinator -addr $(QOS_HTTP) -cluster-addr $(QOS_ADDR) \
+	@$(SMOKE_TIMEOUT) /tmp/hmmd-qos -role coordinator -addr $(QOS_HTTP) -cluster-addr $(QOS_ADDR) \
 		-qos $(QOS_CONF) -workers 2 -queue 8 & cpid=$$!; \
-	/tmp/hmmd-qos -role worker -join $(QOS_ADDR) -addr 127.0.0.1:0 -name w1 -workers 2 -qos $(QOS_CONF) & w1pid=$$!; \
-	/tmp/hmmd-qos -role worker -join $(QOS_ADDR) -addr 127.0.0.1:0 -name w2 -workers 2 -qos $(QOS_CONF) & w2pid=$$!; \
+	$(SMOKE_TIMEOUT) /tmp/hmmd-qos -role worker -join $(QOS_ADDR) -addr 127.0.0.1:0 -name w1 -workers 2 -qos $(QOS_CONF) & w1pid=$$!; \
+	$(SMOKE_TIMEOUT) /tmp/hmmd-qos -role worker -join $(QOS_ADDR) -addr 127.0.0.1:0 -name w2 -workers 2 -qos $(QOS_CONF) & w2pid=$$!; \
 	trap 'kill $$cpid $$w1pid $$w2pid 2>/dev/null' EXIT INT TERM; \
 	/tmp/hmm-stress -url http://$(QOS_HTTP) -requests 24 -c 8 -n 192 -p 64 \
 		-tenants "paced:interactive:20,flood:best-effort:0" -assert-success paced:0.95 -smoke; rc=$$?; \
@@ -178,6 +184,12 @@ bench:
 
 bench-compare:
 	bash bench/run.sh --compare $(A) $(B)
+
+# List every process a benchmark, smoke recipe or test run left alive
+# (daemons, load generators, test binaries); exit 1 if there is one.
+# Run it last: a clean tree leaves nothing behind.
+leftovers:
+	@if ps -eo pid,cmd | grep -E 'hmmd|hmmbench|hmm-|stress|soak|\.test' | grep -v -e grep -e 'make leftovers'; then exit 1; fi
 
 clean:
 	$(GO) clean ./...

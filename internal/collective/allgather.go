@@ -29,7 +29,7 @@ func (c Comm) NewAllGather(phase uint64, blk *matrix.Dense) *AllGatherOp {
 	op.held = make([]map[int][]float64, c.g)
 	for l := range op.held {
 		lo, hi := sliceBounds(op.w, c.g, l)
-		op.held[l] = map[int][]float64{c.rank: blk.Data[lo:hi]}
+		op.held[l] = map[int][]float64{c.rank: blk.Data[lo:hi:hi]}
 	}
 	return op
 }
@@ -51,12 +51,7 @@ func (op *AllGatherOp) SendStep(s int) {
 			keys = append(keys, r)
 		}
 		sortInts(keys)
-		buf := make([]float64, 0, len(keys)*(hi-lo))
-		for _, r := range keys {
-			buf = append(buf, op.held[l][r]...)
-		}
-		// buf is freshly assembled and never touched again: hand the
-		// slice to the network instead of paying a transport copy.
+		buf := payload(len(keys), hi-lo, func(i int) []float64 { return op.held[l][keys[i]] })
 		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
 }
@@ -82,24 +77,16 @@ func (op *AllGatherOp) RecvStep(s int) {
 }
 
 // Result returns all q blocks indexed by chain position (valid after
-// Run). The blocks are carved from one batch allocation.
+// Run). One-port blocks are read-only views of the contributed and
+// received pieces; multi-port blocks are fresh copies.
 func (op *AllGatherOp) Result() []*matrix.Dense {
-	out := matrix.NewBatch(op.c.q, op.rows, op.cols)
-	for pos, blk := range out {
-		r := hypercube.Gray(pos)
-		for l := 0; l < op.c.g; l++ {
-			lo, hi := sliceBounds(op.w, op.c.g, l)
-			if lo == hi {
-				continue
-			}
-			piece, ok := op.held[l][r]
-			if !ok {
-				panic(fmt.Sprintf("collective: AllGather missing piece pos=%d slice=%d", pos, l))
-			}
-			copy(blk.Data[lo:hi], piece)
+	return op.c.blocks(op.c.q, op.rows, op.cols, func(pos, l int) []float64 {
+		piece, ok := op.held[l][hypercube.Gray(pos)]
+		if !ok {
+			panic(fmt.Sprintf("collective: AllGather missing piece pos=%d slice=%d", pos, l))
 		}
-	}
-	return out
+		return piece
+	})
 }
 
 // AllGather runs an all-to-all broadcast and returns the q blocks

@@ -41,7 +41,7 @@ func (c Comm) NewAllToAll(phase uint64, blocks []*matrix.Dense) *AllToAllOp {
 		op.held[l] = make(map[pieceKey][]float64, c.q)
 		lo, hi := sliceBounds(op.w, c.g, l)
 		for pos, b := range blocks {
-			op.held[l][pieceKey{c.rank, hypercube.Gray(pos)}] = b.Data[lo:hi]
+			op.held[l][pieceKey{c.rank, hypercube.Gray(pos)}] = b.Data[lo:hi:hi]
 		}
 	}
 	return op
@@ -67,13 +67,10 @@ func (op *AllToAllOp) SendStep(s int) {
 			}
 		}
 		sortKeys(keys)
-		buf := make([]float64, 0, len(keys)*(hi-lo))
+		buf := payload(len(keys), hi-lo, func(i int) []float64 { return op.held[l][keys[i]] })
 		for _, k := range keys {
-			buf = append(buf, op.held[l][k]...)
 			delete(op.held[l], k)
 		}
-		// buf is freshly assembled and never touched again: hand the
-		// slice to the network instead of paying a transport copy.
 		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
 }
@@ -122,25 +119,17 @@ func sortKeys(a []pieceKey) {
 }
 
 // Result returns the blocks addressed to this node, indexed by origin
-// position (valid after Run). The blocks are carved from one batch
-// allocation.
+// position (valid after Run). One-port blocks are read-only views of
+// the node's own and received pieces; multi-port blocks are fresh
+// copies.
 func (op *AllToAllOp) Result() []*matrix.Dense {
-	out := matrix.NewBatch(op.c.q, op.rows, op.cols)
-	for pos, blk := range out {
-		o := hypercube.Gray(pos)
-		for l := 0; l < op.c.g; l++ {
-			lo, hi := sliceBounds(op.w, op.c.g, l)
-			if lo == hi {
-				continue
-			}
-			piece, ok := op.held[l][pieceKey{o, op.c.rank}]
-			if !ok {
-				panic(fmt.Sprintf("collective: AllToAll missing piece origin=%d slice=%d", pos, l))
-			}
-			copy(blk.Data[lo:hi], piece)
+	return op.c.blocks(op.c.q, op.rows, op.cols, func(pos, l int) []float64 {
+		piece, ok := op.held[l][pieceKey{hypercube.Gray(pos), op.c.rank}]
+		if !ok {
+			panic(fmt.Sprintf("collective: AllToAll missing piece origin=%d slice=%d", pos, l))
 		}
-	}
-	return out
+		return piece
+	})
 }
 
 // AllToAll runs an all-to-all personalized exchange: blocks indexed by

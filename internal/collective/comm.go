@@ -162,6 +162,52 @@ func Run(ops ...Op) {
 	}
 }
 
+// payload returns held pieces piece(0..n-1), sz words each, as one
+// send payload the network takes without a transport copy. Held pieces
+// are read-only (the caller's blocks or received payload), so a lone
+// piece goes out shared; several are assembled into a fresh buffer.
+// Only for receivers that never write what they receive.
+func payload(n, sz int, piece func(i int) []float64) []float64 {
+	if n == 1 {
+		return piece(0)
+	}
+	buf := make([]float64, 0, n*sz)
+	for i := 0; i < n; i++ {
+		buf = append(buf, piece(i)...)
+	}
+	return buf
+}
+
+// blocks returns count rows x cols blocks whose slice l is piece(i, l).
+// One-port (g == 1) blocks are views of the held pieces: a piece is the
+// caller's own input or received payload that no later step writes, so
+// sharing it costs nothing. Multi-port blocks gather their g slices
+// from separate pieces and are copied into one batch allocation.
+func (c Comm) blocks(count, rows, cols int, piece func(i, l int) []float64) []*matrix.Dense {
+	w := rows * cols
+	if c.g == 1 {
+		ds := make([]matrix.Dense, count)
+		out := make([]*matrix.Dense, count)
+		for i := range ds {
+			ds[i] = matrix.Dense{Rows: rows, Cols: cols}
+			if w > 0 {
+				ds[i].Data = piece(i, 0)
+			}
+			out[i] = &ds[i]
+		}
+		return out
+	}
+	out := matrix.NewBatch(count, rows, cols)
+	for i, blk := range out {
+		for l := 0; l < c.g; l++ {
+			if lo, hi := sliceBounds(w, c.g, l); lo < hi {
+				copy(blk.Data[lo:hi], piece(i, l))
+			}
+		}
+	}
+	return out
+}
+
 // checkUniform validates that all non-nil blocks share one shape and
 // returns it.
 func checkUniform(op string, blocks []*matrix.Dense) (rows, cols int) {

@@ -104,7 +104,7 @@ type ReduceScatterOp struct {
 	phase      uint64
 	rows, cols int
 	w          int
-	held       []map[int][]float64 // per slice: dest rank -> accumulating slice
+	held       []map[int][]float64 // per slice: dest rank -> partial sum, read-only
 }
 
 // NewReduceScatter prepares an all-to-all reduction; blocks are indexed
@@ -119,13 +119,8 @@ func (c Comm) NewReduceScatter(phase uint64, blocks []*matrix.Dense) *ReduceScat
 	for l := range op.held {
 		op.held[l] = make(map[int][]float64, c.q)
 		lo, hi := sliceBounds(op.w, c.g, l)
-		sz := hi - lo
-		// One slab for all q accumulating copies of this slice.
-		slab := make([]float64, c.q*sz)
 		for pos, b := range blocks {
-			cp := slab[pos*sz : (pos+1)*sz : (pos+1)*sz]
-			copy(cp, b.Data[lo:hi])
-			op.held[l][hypercube.Gray(pos)] = cp
+			op.held[l][hypercube.Gray(pos)] = b.Data[lo:hi:hi]
 		}
 	}
 	return op
@@ -156,8 +151,10 @@ func (op *ReduceScatterOp) SendStep(s int) {
 			buf = append(buf, op.held[l][x]...)
 			delete(op.held[l], x)
 		}
-		// buf is freshly assembled and never touched again: hand the
-		// slice to the network instead of paying a transport copy.
+		// buf is freshly assembled and never touched again here: hand
+		// it to the network instead of paying a transport copy. The
+		// receiver sums into it, so even a lone piece is copied, never
+		// shared.
 		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
 }
@@ -176,34 +173,34 @@ func (op *ReduceScatterOp) RecvStep(s int) {
 		if len(msg.Data) != len(kept)*sz {
 			panic(fmt.Sprintf("collective: ReduceScatter slice %d got %d words want %d", l, len(msg.Data), len(kept)*sz))
 		}
+		// The partner assembled the payload for us alone, so the sums
+		// are formed in it and it becomes the held partial sums: the
+		// caller's blocks are never written and nothing is copied.
+		// incoming + held equals held + incoming bit for bit, so the
+		// result is the same as accumulating into held. The payload is
+		// retained, so the message is not released.
 		for i, x := range kept {
-			dst := op.held[l][x]
-			src := msg.Data[i*sz : (i+1)*sz]
-			for k, v := range src {
-				dst[k] += v
+			sum := msg.Data[i*sz : (i+1)*sz : (i+1)*sz]
+			for k, v := range op.held[l][x] {
+				sum[k] += v
 			}
+			op.held[l][x] = sum
 		}
-		words := len(msg.Data)
-		msg.Release() // payload fully folded into held slices
-		op.c.N.Compute(int64(words))
+		op.c.N.Compute(int64(len(msg.Data)))
 	}
 }
 
-// Result returns the node's own summed block (valid after Run).
+// Result returns the node's own summed block (valid after Run): on a
+// one-port chain a read-only view of the last partial sum, on a
+// multi-port one a fresh copy of its slices.
 func (op *ReduceScatterOp) Result() *matrix.Dense {
-	out := matrix.New(op.rows, op.cols)
-	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi {
-			continue
-		}
+	return op.c.blocks(1, op.rows, op.cols, func(_, l int) []float64 {
 		piece, ok := op.held[l][op.c.rank]
 		if !ok {
 			panic(fmt.Sprintf("collective: ReduceScatter missing own slice %d", l))
 		}
-		copy(out.Data[lo:hi], piece)
-	}
-	return out
+		return piece
+	})[0]
 }
 
 // ReduceScatter runs an all-to-all reduction: blocks are indexed by

@@ -52,17 +52,9 @@ func AllTrans(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
 	nd.NoteWords(bAll.Words() + big*small*q + big*big)
 
 	// Compute I_{k,i} = sum_l A_{k,f(l,j)} x B_{f(l,j),i}.
-	islab := matrix.New(big, big)
-	for l := 0; l < q; l++ {
-		nd.MulAdd(islab, aAll[l], bAll.RowGroup(q, l))
-	}
-
 	// Phase 3: all-to-all reduction along y: send column group l of
 	// I_{k,i} toward y-position l; receive and sum the pieces for
 	// our own y-position, yielding C_{k,f(i,j)}.
-	pieces := make([]*matrix.Dense, q)
-	for l := 0; l < q; l++ {
-		pieces[l] = islab.ColGroup(q, l)
-	}
+	pieces := sumColGroups(nd, aAll, bAll.RowGroups(q), q)
 	return collective.On(nd, g.YChain(i, k)).ReduceScatter(4, pieces)
 }

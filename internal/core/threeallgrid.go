@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"hypermm/internal/algorithms"
 	"hypermm/internal/collective"
 	"hypermm/internal/hypercube"
@@ -55,9 +57,9 @@ func threeAllGridRound(nd *simnet.Node, g hypercube.GridRect, aBlk, bBlk *matrix
 	// Phase 1: all-to-all personalized along y — row group l of our B
 	// block goes to y-position l; the received pieces assemble into
 	// B_{f(k,j),i} of the (Q*qy x Q) partition (the paper's proof of
-	// correctness, Section 4.2.2).
-	bPieces := bBlk.RowGroups(qy)
-	got := yc.AllToAll(tagBase+1, bPieces)
+	// correctness, Section 4.2.2). Row groups are views of bBlk: the
+	// collectives only read the blocks they are handed.
+	got := yc.AllToAll(tagBase+1, bBlk.RowGroups(qy))
 	bMine := matrix.ConcatCols(got...)
 
 	// Phase 2: all-to-all broadcasts along z and x, fused for
@@ -69,14 +71,28 @@ func threeAllGridRound(nd *simnet.Node, g hypercube.GridRect, aBlk, bBlk *matrix
 
 	nd.NoteWords(2*Q*big*small + big*big)
 
-	// Compute I_{k,i} = sum_{m<Q} A_{k,f(m,j)} B_{f(m,j),i}: the A
+	// Compute I_{k,i} = sum_{m<Q} A_{k,f(m,j)} B_{f(m,j),i} (the A
 	// slab's global columns and the B slab's global rows coincide
-	// because the x and z extents are both Q.
-	islab := matrix.New(big, big)
-	for mm := 0; mm < Q; mm++ {
-		nd.MulAdd(islab, aAll[mm], bAll[mm])
-	}
+	// because the x and z extents are both Q), and in phase 3
+	// reduce-scatter its qy column groups along y.
+	return yc.ReduceScatter(tagBase+4, sumColGroups(nd, aAll, bAll, qy))
+}
 
-	// Phase 3: all-to-all reduction along y.
-	return yc.ReduceScatter(tagBase+4, islab.ColGroups(qy))
+// sumColGroups returns I = sum_m as[m]*bs[m] as its groups equal
+// column groups, computed straight into them, so no whole I is built
+// and split: MulAddCols over a column window of bs[m] is bit-identical to
+// the whole product, and each term is charged as the one multiply the
+// paper counts. Panics unless groups divides I's columns.
+func sumColGroups(nd *simnet.Node, as, bs []*matrix.Dense, groups int) []*matrix.Dense {
+	if bs[0].Cols%groups != 0 {
+		panic(fmt.Sprintf("core: %d columns of I not divisible into %d groups", bs[0].Cols, groups))
+	}
+	out := matrix.NewBatch(groups, as[0].Rows, bs[0].Cols/groups)
+	for m, a := range as {
+		for l, c := range out {
+			matrix.MulAddCols(c, a, bs[m], l*c.Cols)
+		}
+		nd.Compute(matrix.MulFlops(a.Rows, a.Cols, bs[m].Cols))
+	}
+	return out
 }

@@ -111,14 +111,19 @@ func (m *Dense) ColGroup(q, j int) *Dense {
 // allocation: three allocations total instead of 2q. The blocks are
 // independent views of disjoint ranges, so they can be filled, sent and
 // multiplied like individually allocated matrices; they merely share a
-// backing array's lifetime. Hot per-node assembly paths (collective
-// results, group splits) use it to keep the emulator's allocation rate
-// flat in q.
+// backing array's lifetime. Hot per-node assembly paths (multi-port
+// collective results, grid splits) use it to keep the emulator's
+// allocation rate flat in q.
 func NewBatch(q, r, c int) []*Dense {
 	if q < 0 {
 		panic(fmt.Sprintf("matrix: NewBatch negative count %d", q))
 	}
-	data := make([]float64, q*r*c)
+	return carve(make([]float64, q*r*c), q, r, c)
+}
+
+// carve returns q r x c matrices viewing consecutive, capacity-bounded
+// ranges of data, with one allocation for all their headers.
+func carve(data []float64, q, r, c int) []*Dense {
 	ds := make([]Dense, q)
 	out := make([]*Dense, q)
 	w := r * c
@@ -129,28 +134,11 @@ func NewBatch(q, r, c int) []*Dense {
 	return out
 }
 
-// RowGroups splits m into its q equal horizontal slabs, copied into one
-// backing allocation (cheaper than q RowGroup calls).
+// RowGroups splits m into its q equal horizontal slabs. Row groups of a
+// row-major matrix are contiguous, so the slabs are views of m's data,
+// not copies: writing one writes m.
 func (m *Dense) RowGroups(q int) []*Dense {
-	br := mustDivide("RowGroups", m.Rows, q)
-	out := NewBatch(q, br, m.Cols)
-	for i, b := range out {
-		copy(b.Data, m.Data[i*br*m.Cols:(i+1)*br*m.Cols])
-	}
-	return out
-}
-
-// ColGroups splits m into its q equal vertical slabs, copied into one
-// backing allocation (cheaper than q ColGroup calls).
-func (m *Dense) ColGroups(q int) []*Dense {
-	bc := mustDivide("ColGroups", m.Cols, q)
-	out := NewBatch(q, m.Rows, bc)
-	for j, b := range out {
-		for i := 0; i < m.Rows; i++ {
-			copy(b.Data[i*bc:(i+1)*bc], m.Data[i*m.Cols+j*bc:i*m.Cols+(j+1)*bc])
-		}
-	}
-	return out
+	return carve(m.Data, q, mustDivide("RowGroups", m.Rows, q), m.Cols)
 }
 
 // GridBlocks partitions m into its full qr x qc grid of equal blocks,

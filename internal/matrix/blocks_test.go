@@ -81,6 +81,14 @@ func TestRowColGroups(t *testing.T) {
 	if !Equal(ConcatCols(m.ColGroup(2, 0), m.ColGroup(2, 1)), m) {
 		t.Error("col groups do not reassemble")
 	}
+	gs := m.RowGroups(4)
+	if !Equal(ConcatRows(gs...), m) {
+		t.Error("RowGroups do not reassemble")
+	}
+	gs[2].Set(1, 3, 42) // views: writing a group writes m
+	if m.At(5, 3) != 42 || cap(gs[1].Data) != len(gs[1].Data) {
+		t.Error("RowGroups are not bounded views of m")
+	}
 }
 
 func TestAssembleGrid(t *testing.T) {

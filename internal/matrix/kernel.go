@@ -150,27 +150,29 @@ func putPackBuf(p *[]float64) { packPool.Put(p) }
 
 // --- dispatch ---------------------------------------------------------
 
-// mulAddKernel is the MulAdd implementation behind the shape checks.
-func mulAddKernel(c, a, b *Dense) {
-	n, k, m := a.Rows, a.Cols, b.Cols
+// mulAddKernel is the MulAdd implementation behind the shape checks:
+// c += a*B, where B is the a.Cols x c.Cols matrix whose row kk starts
+// at bd[kk*ldb] — all of b for MulAdd, a column window for MulAddCols.
+func mulAddKernel(c, a *Dense, bd []float64, ldb int) {
+	n, k, m := a.Rows, a.Cols, c.Cols
 	if n == 0 || k == 0 || m == 0 {
 		return
 	}
 	if n*k < packMinWork/m { // n*k*m < packMinWork without overflow risk
-		mulAddTiled(c, a, b)
+		mulAddTiled(c, a, bd, ldb)
 		return
 	}
 
 	bpBuf := getPackBuf(k * m)
 	defer putPackBuf(bpBuf)
 	bp := *bpBuf
-	packB(b, bp)
+	packB(bd, ldb, k, m, bp)
 
 	// Borrow extra workers only when every worker gets at least one
 	// full A panel of rows.
 	extra, sem := acquireWorkers(min(Parallelism()-1, n/mcBlk))
 	if extra == 0 {
-		mulAddRange(c, a, b, 0, n, bp)
+		mulAddRange(c, a, 0, n, bp)
 		return
 	}
 	workers := extra + 1
@@ -187,10 +189,10 @@ func mulAddKernel(c, a, b *Dense) {
 		go func(r0, r1 int) {
 			defer wg.Done()
 			defer func() { sem <- struct{}{} }()
-			mulAddRange(c, a, b, r0, r1, bp)
+			mulAddRange(c, a, r0, r1, bp)
 		}(r0, r1)
 	}
-	mulAddRange(c, a, b, 0, min(chunk, n), bp)
+	mulAddRange(c, a, 0, min(chunk, n), bp)
 	wg.Wait()
 	// Return tokens for workers that got an empty range.
 	for w := 1; w < workers; w++ {
@@ -202,12 +204,11 @@ func mulAddKernel(c, a, b *Dense) {
 
 // --- packed path ------------------------------------------------------
 
-// packB lays b out panel-major: the panel at k0 holds kd*m words
-// starting at bp[k0*m]; within a panel the nr-wide column strip at j0
-// (width w at the right edge) holds its kd x w tile k-major at panel
-// offset kd*j0.
-func packB(b *Dense, bp []float64) {
-	k, m := b.Rows, b.Cols
+// packB lays the k x m matrix whose row kk starts at bd[kk*ldb] out
+// panel-major: the panel at k0 holds kd*m words starting at bp[k0*m];
+// within a panel the nr-wide column strip at j0 (width w at the right
+// edge) holds its kd x w tile k-major at panel offset kd*j0.
+func packB(bd []float64, ldb, k, m int, bp []float64) {
 	for k0 := 0; k0 < k; k0 += kcBlk {
 		kd := min(kcBlk, k-k0)
 		panel := bp[k0*m:]
@@ -216,7 +217,7 @@ func packB(b *Dense, bp []float64) {
 			dst := panel[kd*j0 : kd*j0+kd*w]
 			idx := 0
 			for kk := k0; kk < k0+kd; kk++ {
-				src := b.Data[kk*m+j0 : kk*m+j0+w]
+				src := bd[kk*ldb+j0 : kk*ldb+j0+w]
 				for _, v := range src {
 					dst[idx] = v
 					idx++
@@ -245,8 +246,8 @@ func packA(a *Dense, i0, i1, k0, kd int, ap []float64) {
 
 // mulAddRange runs the packed kernel over C rows [r0,r1) against the
 // pre-packed bp. Safe to call concurrently for disjoint row ranges.
-func mulAddRange(c, a, b *Dense, r0, r1 int, bp []float64) {
-	K, m := a.Cols, b.Cols
+func mulAddRange(c, a *Dense, r0, r1 int, bp []float64) {
+	K, m := a.Cols, c.Cols
 	apBuf := getPackBuf(kcBlk * mcBlk)
 	defer putPackBuf(apBuf)
 	ap := *apBuf
@@ -349,10 +350,10 @@ func microEdgePacked(cd []float64, i0, j0, h, w, m int, ap, bp []float64, kd int
 // --- direct (small-block) path ---------------------------------------
 
 // mulAddTiled is the no-allocation path for small blocks: the same 4x4
-// register tiling reading A and B in place (strided B loads are fine
-// while everything fits in cache).
-func mulAddTiled(c, a, b *Dense) {
-	n, k, m := a.Rows, a.Cols, b.Cols
+// register tiling reading A and B (row kk at bd[kk*ldb]) in place
+// (strided B loads are fine while everything fits in cache).
+func mulAddTiled(c, a *Dense, bd []float64, ldb int) {
+	n, k, m := a.Rows, a.Cols, c.Cols
 	if k == 0 {
 		return
 	}
@@ -361,25 +362,25 @@ func mulAddTiled(c, a, b *Dense) {
 		j := 0
 		for ; j+nr <= m; j += nr {
 			if useSIMD {
-				micro4x4DirectAVX(&c.Data[i*m+j], m, &a.Data[i*k], k, &b.Data[j], m, k)
+				micro4x4DirectAVX(&c.Data[i*m+j], m, &a.Data[i*k], k, &bd[j], ldb, k)
 			} else {
-				micro4x4Direct(c.Data, i, j, m, a.Data, k, b.Data)
+				micro4x4Direct(c.Data, i, j, m, a.Data, k, bd, ldb)
 			}
 		}
 		if j < m {
-			microEdgeDirect(c.Data, i, j, mr, m-j, m, a.Data, k, b.Data)
+			microEdgeDirect(c.Data, i, j, mr, m-j, m, a.Data, k, bd, ldb)
 		}
 	}
 	for ; i < n; i++ {
 		for j := 0; j < m; j += nr {
 			w := min(nr, m-j)
-			microEdgeDirect(c.Data, i, j, 1, w, m, a.Data, k, b.Data)
+			microEdgeDirect(c.Data, i, j, 1, w, m, a.Data, k, bd, ldb)
 		}
 	}
 }
 
 // micro4x4Direct is micro4x4Packed reading A rows and B rows in place.
-func micro4x4Direct(cd []float64, i0, j0, m int, ad []float64, k int, bd []float64) {
+func micro4x4Direct(cd []float64, i0, j0, m int, ad []float64, k int, bd []float64, ldb int) {
 	a0 := ad[i0*k : (i0+1)*k]
 	a1 := ad[(i0+1)*k : (i0+2)*k]
 	a2 := ad[(i0+2)*k : (i0+3)*k]
@@ -393,7 +394,7 @@ func micro4x4Direct(cd []float64, i0, j0, m int, ad []float64, k int, bd []float
 	c20, c21, c22, c23 := c2[0], c2[1], c2[2], c2[3]
 	c30, c31, c32, c33 := c3[0], c3[1], c3[2], c3[3]
 	for kk := 0; kk < k; kk++ {
-		bv := bd[kk*m+j0 : kk*m+j0+4]
+		bv := bd[kk*ldb+j0 : kk*ldb+j0+4]
 		b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
 		av := a0[kk]
 		c00 += av * b0
@@ -423,7 +424,7 @@ func micro4x4Direct(cd []float64, i0, j0, m int, ad []float64, k int, bd []float
 }
 
 // microEdgeDirect handles partial tiles in place.
-func microEdgeDirect(cd []float64, i0, j0, h, w, m int, ad []float64, k int, bd []float64) {
+func microEdgeDirect(cd []float64, i0, j0, h, w, m int, ad []float64, k int, bd []float64, ldb int) {
 	var acc [mr * nr]float64
 	for r := 0; r < h; r++ {
 		for cc := 0; cc < w; cc++ {
@@ -431,7 +432,7 @@ func microEdgeDirect(cd []float64, i0, j0, h, w, m int, ad []float64, k int, bd 
 		}
 	}
 	for kk := 0; kk < k; kk++ {
-		bs := bd[kk*m+j0 : kk*m+j0+w]
+		bs := bd[kk*ldb+j0 : kk*ldb+j0+w]
 		for r := 0; r < h; r++ {
 			av := ad[(i0+r)*k+kk]
 			for cc, bvv := range bs {

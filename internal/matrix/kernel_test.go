@@ -44,6 +44,42 @@ func TestMulAddDifferential(t *testing.T) {
 	}
 }
 
+// TestMulAddColsSplitsBitIdentical splits every kernelShapes product's
+// output columns into three windows (some may be empty) and
+// requires the windowed products, each in its own matrix, to reassemble
+// the one-shot MulAdd bit for bit on both the tiled and packed paths.
+func TestMulAddColsSplitsBitIdentical(t *testing.T) {
+	for _, sh := range kernelShapes {
+		a := Random(sh.n, sh.k, int64(sh.n+sh.k))
+		b := Random(sh.k, sh.m, int64(sh.m+2*sh.k))
+		want := Random(sh.n, sh.m, 5)
+		start := want.Clone()
+		MulAdd(want, a, b)
+		for w := 0; w < 3; w++ {
+			j0, j1 := w*sh.m/3, (w+1)*sh.m/3
+			got := start.Block(0, sh.n, j0, j1)
+			MulAddCols(got, a, b, j0)
+			if !Equal(got, want.Block(0, sh.n, j0, j1)) {
+				t.Errorf("shape %dx%dx%d window [%d,%d): differs from MulAdd", sh.n, sh.k, sh.m, j0, j1)
+			}
+		}
+	}
+	for _, bad := range []func(){
+		func() { MulAddCols(New(2, 2), New(2, 3), New(3, 3), 2) }, // window past b
+		func() { MulAddCols(New(2, 2), New(2, 3), New(2, 4), 0) }, // inner dim
+		func() { MulAddCols(New(2, 2), New(2, 3), New(3, 4), -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("MulAddCols accepted a bad shape")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
 // TestMulAddParallelismBitIdentical runs a large multiply at several
 // parallelism levels and requires every result byte-identical to the
 // serial one — the invariant the emulator's determinism rests on.

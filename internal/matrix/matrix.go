@@ -153,7 +153,25 @@ func MulAdd(c, a, b *Dense) {
 	if c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: MulAdd output %dx%d != %dx%d", c.Rows, c.Cols, a.Rows, b.Cols))
 	}
-	mulAddKernel(c, a, b)
+	mulAddKernel(c, a, b.Data, b.Cols)
+}
+
+// MulAddCols computes c += a*b[:, j0:j0+c.Cols], reading the column
+// window of b in place. Every element sees exactly MulAdd's operation
+// sequence, so splitting a product's output columns over several
+// MulAddCols calls is bitwise identical to one MulAdd. Panics on
+// inner-dimension mismatch or a window outside b.
+func MulAddCols(c, a, b *Dense, j0 int) {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("matrix: MulAddCols inner dim %d != %d", a.Cols, b.Rows))
+	}
+	if c.Rows != a.Rows || j0 < 0 || j0+c.Cols > b.Cols {
+		panic(fmt.Sprintf("matrix: MulAddCols output %dx%d at column %d of %dx%d", c.Rows, c.Cols, j0, a.Rows, b.Cols))
+	}
+	if b.Rows == 0 {
+		return
+	}
+	mulAddKernel(c, a, b.Data[j0:], b.Cols)
 }
 
 // MulFlops returns the floating-point operation count (multiply-adds

@@ -543,17 +543,18 @@ func (n *Node) SendM(dst int, tag uint64, blk *matrix.Dense) {
 	n.sendShaped(dst, tag, blk.Data, blk.Rows, blk.Cols)
 }
 
-// SendOwned transmits data without the defensive copy, transferring
-// ownership of the slice to the network: the caller must not read or
-// write data after the call. Use it for freshly built buffers the
-// sender provably never touches again — the lockstep collectives'
-// per-step staging buffers are the canonical case.
+// SendOwned transmits data without the defensive copy: the receiver
+// gets the caller's slice itself. Nobody may write data after the call
+// except the receiver, and the receiver only when it knows the slice
+// was built for it alone. Use it for freshly built buffers the sender
+// never touches again — the lockstep collectives' per-step staging
+// buffers — and for blocks every holder treats as read-only, which the
+// sender may keep reading.
 func (n *Node) SendOwned(dst int, tag uint64, data []float64) {
 	n.sendCore(dst, tag, data, nil, 0, 0)
 }
 
-// SendMOwned is SendOwned for a shaped matrix block: blk and its Data
-// must not be used by the sender after the call.
+// SendMOwned is SendOwned for a shaped matrix block.
 func (n *Node) SendMOwned(dst int, tag uint64, blk *matrix.Dense) {
 	n.sendCore(dst, tag, blk.Data, nil, blk.Rows, blk.Cols)
 }
@@ -591,6 +592,12 @@ func (n *Node) sendCore(dst int, tag uint64, data []float64, box *payloadBox, ro
 	msgsInFlight.Add(1)
 	*msg = Msg{Src: n.ID, Dst: dst, Tag: tag, Data: data, Rows: rows, Cols: cols, box: box}
 	if f := n.m.Cfg.Corrupt; f != nil && dst != n.ID {
+		if box == nil {
+			// An owned payload may be shared read-only with the
+			// sender: corrupt a copy, as a faulty link would.
+			data = append([]float64(nil), data...)
+			msg.Data = data
+		}
 		f(n.ID, dst, tag, data)
 	}
 	if dst == n.ID {
