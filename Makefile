@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/collective -run XXX -fuzz FuzzAllToAllShapes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/collective -run XXX -fuzz FuzzReduceShapes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/collective -run XXX -fuzz FuzzReduceScatterShapes -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/matrix -run XXX -fuzz FuzzMulAddDifferential -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/matrix -run XXX -fuzz FuzzGridBlockRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/layout -run XXX -fuzz FuzzScatterGather -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/calibrate -run XXX -fuzz FuzzProfileParse -fuzztime $(FUZZTIME)

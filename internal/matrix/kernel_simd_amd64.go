@@ -2,24 +2,42 @@
 
 package matrix
 
-// useSIMD gates the AVX microkernels in kernel_amd64.s. The AVX path
-// uses separate VMULPD/VADDPD (never FMA), so each C element sees
-// exactly the scalar kernel's operation sequence and results stay
-// bitwise identical; the gate is purely a speed switch.
-var useSIMD = cpuHasAVX()
+// hostTier is the widest microkernel tier the CPU and OS support,
+// detected once with CPUID and XGETBV (kernel_amd64.s).
+var hostTier = detectTier()
 
-// cpuHasAVX reports CPU and OS support for AVX (CPUID + XGETBV).
-// Implemented in kernel_amd64.s.
+func detectTier() int {
+	switch {
+	case !cpuHasAVX():
+		return tierGo
+	case cpuHasAVX512():
+		return tierAVX512
+	default:
+		return tierAVX
+	}
+}
+
+// cpuHasAVX reports CPU and OS support for AVX.
 func cpuHasAVX() bool
 
-// micro4x4PackedAVX is micro4x4Packed over the same packed strips.
-// Implemented in kernel_amd64.s.
-//
-//go:noescape
-func micro4x4PackedAVX(c *float64, ldc int, ap, bp *float64, kd int)
+// cpuHasAVX512 reports CPU and OS support for AVX-512F; call it only
+// once cpuHasAVX reported true.
+func cpuHasAVX512() bool
 
-// micro4x4DirectAVX is micro4x4Direct reading A and B in place.
-// Implemented in kernel_amd64.s.
+// micro4x4AVX is the 4x4 tile update over stride-generic A and B (see
+// kernel_amd64.s for the stride conventions).
 //
 //go:noescape
-func micro4x4DirectAVX(c *float64, ldc int, a *float64, lda int, b *float64, ldb int, kd int)
+func micro4x4AVX(c *float64, ldc int, a *float64, lda, ak int, b *float64, bk int, kd int)
+
+// micro4x8AVX is the 4x8 tile update; B columns 4-7 sit bh elements
+// after columns 0-3.
+//
+//go:noescape
+func micro4x8AVX(c *float64, ldc int, a *float64, lda, ak int, b *float64, bh, bk int, kd int)
+
+// micro4x16AVX512 is the 4x16 tile update over w <= 16 contiguous B
+// columns; columns past w are masked off.
+//
+//go:noescape
+func micro4x16AVX512(c *float64, ldc int, a *float64, lda, ak int, b *float64, bk int, kd, w int)
