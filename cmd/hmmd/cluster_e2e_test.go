@@ -49,8 +49,8 @@ func awaitReady(t *testing.T, ready chan string) string {
 // whole process group and requires every role to drain cleanly.
 //
 // All three daemons share this test process, so one SIGTERM (caught by
-// each run loop's signal.NotifyContext) drains them all at once — the
-// separate-process version of this drill is `make cluster-smoke`.
+// each run loop's signal.NotifyContext) drains them all at once. The
+// kill-mid-batch drill is internal/server's TestWorkerKilledMidBatch.
 func TestClusterRolesE2E(t *testing.T) {
 	coordD, coordReady := startDaemon(t, "-role", "coordinator",
 		"-addr", "127.0.0.1:0", "-cluster-addr", "127.0.0.1:0")

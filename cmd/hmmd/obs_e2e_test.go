@@ -117,3 +117,64 @@ func TestVersionFlag(t *testing.T) {
 		t.Errorf("-version output %q, want hmmd <module> <version> (built with go1...)", out.String())
 	}
 }
+
+// TestPprofAndChromeTraceE2E boots the daemon through run() with
+// -pprof: the profiling endpoints must be mounted, and a traced
+// request's default (Chrome trace-event) trace must carry a display
+// unit and the handler's complete event.
+func TestPprofAndChromeTraceE2E(t *testing.T) {
+	base, shutdown := bootDaemon(t, "-pprof")
+
+	resp, err := http.Get(base + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/pprof/cmdline = %d, want 200", resp.StatusCode)
+	}
+
+	resp, err = http.Post(base+"/v1/matmul", "application/json",
+		strings.NewReader(`{"n": 64, "p": 64, "trace": true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("matmul status %d: %s", resp.StatusCode, body)
+	}
+	id := resp.Header.Get("X-Trace-Id")
+	tresp, err := http.Get(base + "/v1/trace/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbody, _ := io.ReadAll(tresp.Body)
+	tresp.Body.Close()
+	if tresp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/trace/%s status %d: %s", id, tresp.StatusCode, tbody)
+	}
+	var chrome struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+		DisplayTimeUnit string `json:"displayTimeUnit"`
+	}
+	if err := json.Unmarshal(tbody, &chrome); err != nil {
+		t.Fatalf("trace is not Chrome trace-event JSON: %v", err)
+	}
+	if chrome.DisplayTimeUnit == "" {
+		t.Error("trace has no displayTimeUnit")
+	}
+	root := false
+	for _, ev := range chrome.TraceEvents {
+		root = root || (ev.Ph == "X" && ev.Name == "http.matmul")
+	}
+	if !root {
+		t.Errorf("trace has no http.matmul complete event: %s", tbody)
+	}
+
+	shutdown()
+}

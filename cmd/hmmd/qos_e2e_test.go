@@ -162,6 +162,65 @@ func TestQoSServingE2E(t *testing.T) {
 	shutdown()
 }
 
+// TestQoSClusterE2E boots a coordinator and a worker, both with
+// -qos testdata/qos.json: one request per tenant, named by X-Tenant,
+// must answer 200 through the cluster, and both tiers' /metrics must
+// account it to that tenant.
+func TestQoSClusterE2E(t *testing.T) {
+	conf := filepath.Join("testdata", "qos.json")
+	coordD, coordReady := startDaemon(t, "-role", "coordinator", "-qos", conf,
+		"-addr", "127.0.0.1:0", "-cluster-addr", "127.0.0.1:0")
+	clusterAddr := strings.TrimPrefix(awaitReady(t, coordReady), "cluster=")
+	base := "http://" + awaitReady(t, coordReady)
+	wD, wReady := startDaemon(t, "-role", "worker", "-qos", conf, "-join", clusterAddr,
+		"-addr", "127.0.0.1:0", "-name", "qw1", "-workers", "2")
+	wBase := "http://" + awaitReady(t, wReady)
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(metricsText(t, base), "hmmd_cluster_workers 1") {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	tenants := []string{"acme", "flood", "paced"}
+	for _, tenant := range tenants {
+		resp, body := doMatmul(t, base, map[string]string{"X-Tenant": tenant})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s matmul = %d: %s", tenant, resp.StatusCode, body)
+		}
+	}
+	coordMetrics, workerMetrics := metricsText(t, base), metricsText(t, wBase)
+	if !strings.Contains(coordMetrics, "hmmd_cluster_completed_total 3") {
+		t.Errorf("jobs did not run on the worker:\n%s", clusterLines(coordMetrics))
+	}
+	for _, tenant := range tenants {
+		want := `hmmd_qos_jobs_total{tenant="` + tenant + `"} 1`
+		if !strings.Contains(coordMetrics, want) {
+			t.Errorf("coordinator /metrics missing %q", want)
+		}
+		if !strings.Contains(workerMetrics, want) {
+			t.Errorf("worker /metrics missing %q", want)
+		}
+	}
+
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*daemon{"coordinator": coordD, "worker": wD} {
+		select {
+		case code := <-d.exited:
+			if code != 0 {
+				d.mu.Lock()
+				t.Errorf("%s exited %d\nstdout: %s\nstderr: %s", name, code, d.stdout.String(), d.stderr.String())
+				d.mu.Unlock()
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s did not exit after SIGTERM", name)
+		}
+	}
+}
+
 // TestQoSEndpointAbsentWithoutFlag: without -qos the daemon serves
 // single-tenant FIFO and /v1/qos is a 404, so operators can tell at a
 // glance whether a policy is loaded.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,9 +17,9 @@ import (
 	"hypermm/internal/cluster"
 )
 
-// clusterServer builds a coordinator-fronted Server with n in-process
-// cluster workers, each running jobs through cluster.LocalExec.
-func clusterServer(t *testing.T, cfg Config, n int) (*Server, *cluster.Coordinator) {
+// clusterServer builds a coordinator-fronted Server with one in-process
+// cluster worker per exec, registered in order (w0 first).
+func clusterServer(t *testing.T, cfg Config, execs ...cluster.ExecFunc) (*Server, *cluster.Coordinator, []*cluster.Worker) {
 	t.Helper()
 	coord, err := cluster.NewCoordinator(cluster.Config{
 		Addr:          "127.0.0.1:0",
@@ -29,32 +30,34 @@ func clusterServer(t *testing.T, cfg Config, n int) (*Server, *cluster.Coordinat
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	for i := 0; i < n; i++ {
+	var workers []*cluster.Worker
+	for i, exec := range execs {
 		w, err := cluster.Join(context.Background(), coord.Addr().String(), cluster.WorkerConfig{
-			Name: fmt.Sprintf("w%d", i), Exec: cluster.LocalExec,
+			Name: fmt.Sprintf("w%d", i), Exec: exec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		go w.Serve(context.Background())
 		t.Cleanup(w.Abort)
+		workers = append(workers, w)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for coord.WorkerCount() != n {
+	for coord.WorkerCount() != len(execs) {
 		if time.Now().After(deadline) {
 			t.Fatalf("worker count stuck at %d", coord.WorkerCount())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	cfg.Cluster = coord
-	return mustNew(t, cfg), coord
+	return mustNew(t, cfg), coord, workers
 }
 
 // TestMatmulThroughCluster runs the full HTTP path with jobs routed to
 // cluster workers: the response must match a standalone server's, the
 // product must verify, and the cluster metrics family must appear.
 func TestMatmulThroughCluster(t *testing.T) {
-	srv, _ := clusterServer(t, Config{Workers: 2, QueueDepth: 4}, 2)
+	srv, _, _ := clusterServer(t, Config{Workers: 2, QueueDepth: 4}, cluster.LocalExec, cluster.LocalExec)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -110,10 +113,87 @@ func TestMatmulThroughCluster(t *testing.T) {
 	}
 }
 
+// TestWorkerKilledMidBatch is the kill-mid-batch drill over HTTP: a
+// concurrent seeded batch runs through a coordinator fronting two
+// workers, one of which dies while it holds a job. Abort closes the
+// worker's job connection, which is what the kernel does to a killed
+// worker process's socket. Every reply must still be a verified 200,
+// the dead worker must leave the gauge, and a failover must be counted.
+func TestWorkerKilledMidBatch(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	stuck := func(ctx context.Context, alg hypermm.Algorithm, cfg hypermm.Config, A, B *hypermm.Matrix) (*hypermm.Result, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		// Never answers; the connection death is the signal. release
+		// only ends the goroutine once the test is over.
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-release:
+			return nil, errors.New("test over")
+		}
+	}
+	// Both workers start at load 0 and the tie goes to the first
+	// registration, so the batch's first job lands on the stuck worker.
+	srv, _, workers := clusterServer(t, Config{Workers: 4, QueueDepth: 8}, stuck, cluster.LocalExec)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const batch = 8
+	status := make([]int, batch)
+	bodies := make([][]byte, batch)
+	var wg sync.WaitGroup
+	for i := 0; i < batch; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, data := postMatmul(t, ts, fmt.Sprintf(
+				`{"n": 32, "p": 16, "algorithm": "cannon", "seed": %d, "verify": true}`, i+1))
+			status[i], bodies[i] = resp.StatusCode, data
+		}(i)
+	}
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no job reached the stuck worker")
+	}
+	workers[0].Abort()
+	wg.Wait()
+
+	for i := range status {
+		if status[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, status[i], bodies[i])
+		}
+		var mr MatmulResponse
+		if err := json.Unmarshal(bodies[i], &mr); err != nil {
+			t.Fatal(err)
+		}
+		if mr.Verified == nil || !*mr.Verified {
+			t.Errorf("request %d did not verify", i)
+		}
+	}
+	_, raw := getBody(t, ts, "/metrics")
+	metrics := string(raw)
+	if !strings.Contains(metrics, "\nhmmd_cluster_workers 1\n") {
+		t.Error("/metrics does not show the dead worker gone (want hmmd_cluster_workers 1)")
+	}
+	failovers := 0
+	for _, line := range strings.Split(metrics, "\n") {
+		fmt.Sscanf(line, "hmmd_cluster_failovers_total %d", &failovers)
+	}
+	if failovers < 1 {
+		t.Errorf("hmmd_cluster_failovers_total = %d, want >= 1", failovers)
+	}
+}
+
 // TestTraceJobsRunLocally: per-node timelines don't travel the wire, so
 // a trace request must execute in-process even on a coordinator.
 func TestTraceJobsRunLocally(t *testing.T) {
-	srv, coord := clusterServer(t, Config{Workers: 1, QueueDepth: 2}, 1)
+	srv, coord, _ := clusterServer(t, Config{Workers: 1, QueueDepth: 2}, cluster.LocalExec)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -39,12 +39,12 @@ var (
 	ErrAborted = errors.New("aborted: peer failed")
 )
 
-// FaultError is the failure a node program raises from inside a send,
-// receive or barrier when fault injection (or the deadline) trips. It
+// FaultError is the failure a node program raises from inside a send
+// or receive when fault injection (or the deadline) trips. It
 // unwraps to one of the typed causes above.
 type FaultError struct {
 	Node     int    // node whose program failed
-	Op       string // "send", "recv", "barrier", "deadline"
+	Op       string // "send", "recv", "deadline"
 	Src, Dst int    // transfer endpoints (-1 when not a transfer)
 	Tag      uint64
 	Attempts int   // transmission attempts made (sends only)

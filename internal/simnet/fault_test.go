@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -151,33 +152,37 @@ func TestDeterministicClocksUnderFaults(t *testing.T) {
 }
 
 func TestBarrierReleasedOnAbortAndReusable(t *testing.T) {
-	// Run 1: node 0 fails its send while every other node parks in the
-	// barrier. The abort must release them and return the originating
-	// fault, not ErrAborted.
+	// Run 1: node 0 fails its send while every other node parks in a
+	// receive that no peer will ever satisfy. The abort must release
+	// them and return the originating fault, not ErrAborted.
 	fp := &FaultPlan{Seed: 1, Down: []Window{{-1, -1, 0, math.Inf(1)}}, MaxRetries: 1}
 	m := NewMachine(Config{P: 8, Ports: OnePort, Ts: 10, Tw: 1, Faults: fp})
 	_, err := m.RunErr(func(n *Node) {
 		if n.ID == 0 {
 			n.Send(1, 1, make([]float64, 4))
 		}
-		n.Barrier()
+		n.Recv((n.ID+1)%n.P(), 2)
 	})
 	if !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("aborted barrier run: err = %v, want ErrLinkDown", err)
+		t.Fatalf("aborted run: err = %v, want ErrLinkDown", err)
 	}
-	// Run 2 on the same machine: the barrier must have been re-armed —
-	// no leaked generation count from the seven waiters of run 1.
+	// Run 2 on the same machine: nothing the seven released receivers
+	// left behind may leak into a clean run, which must match a fresh
+	// machine's exactly.
 	m.Cfg.Faults = nil
-	rs, err := m.RunErr(func(n *Node) {
-		n.Barrier()
-		n.Compute(int64(n.ID))
-		n.Barrier()
-	})
-	if err != nil {
-		t.Fatalf("barrier not reusable after abort: %v", err)
+	ring := func(n *Node) {
+		p := n.P()
+		n.Send((n.ID+1)%p, 3, []float64{float64(n.ID)})
+		if got := n.Recv((n.ID-1+p)%p, 3); got.Data[0] != float64((n.ID-1+p)%p) {
+			t.Errorf("node %d got %v", n.ID, got.Data)
+		}
 	}
-	if rs.Elapsed != 0 {
-		t.Fatalf("Tc=0 run elapsed %g, want 0", rs.Elapsed)
+	rs, err := m.RunErr(ring)
+	if err != nil {
+		t.Fatalf("machine not reusable after abort: %v", err)
+	}
+	if want := NewMachine(m.Cfg).Run(ring); !reflect.DeepEqual(rs, want) {
+		t.Fatalf("re-run after abort diverged from a fresh machine:\ngot:  %+v\nwant: %+v", rs, want)
 	}
 }
 
@@ -200,15 +205,14 @@ func TestRunPanicsStillPropagateNonFaults(t *testing.T) {
 
 func TestTorusFaultAbortAndReuse(t *testing.T) {
 	// The fault machinery must work on the torus topology too: a hostile
-	// plan surfaces a typed error with peers parked in recv and the
-	// barrier, and the same machine re-runs clean afterward.
+	// plan surfaces a typed error with peers parked in recv, and the
+	// same machine re-runs clean afterward.
 	ring := func(n *Node) {
 		// 3x3 torus: everyone passes a block to the right neighbor.
 		q := 3
 		i, j := TorusCoords(n.ID, q)
 		n.Send(TorusNode(i, j+1, q), 1, make([]float64, 8))
 		n.Recv(TorusNode(i, j-1, q), 1)
-		n.Barrier()
 	}
 	m := NewMachine(Config{
 		P: 9, Topology: Torus2D, Ports: OnePort, Ts: 10, Tw: 1,

@@ -7,8 +7,8 @@ import (
 )
 
 // exerciser is a nontrivial SPMD program touching sends, shaped
-// receives, self-delivery, compute and the barrier — the surfaces whose
-// state a machine reset must scrub.
+// receives, self-delivery and compute — the surfaces whose state a
+// machine reset must scrub.
 func exerciser(round uint64) func(n *Node) {
 	return func(n *Node) {
 		p := n.P()
@@ -17,7 +17,6 @@ func exerciser(round uint64) func(n *Node) {
 		n.Send(n.ID, round<<8|2, []float64{42}) // self-delivery
 		msg := n.Recv(left, round<<8|1)
 		msg.Release()
-		n.Barrier()
 		n.Compute(100)
 		n.Recv(n.ID, round<<8|2).Release()
 		n.Send(n.ID^1, round<<8|3, make([]float64, 16))

@@ -31,10 +31,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 
 	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
@@ -146,11 +143,10 @@ type Machine struct {
 	Cube   hypercube.Cube // valid for the Hypercube topology
 	torusQ int            // side length for the Torus2D topology
 	nodes  []*Node
-	bar    *barrier
 
 	// Abort machinery: the first node to fail records its fault and
-	// closes down, releasing every node blocked in a receive, a
-	// back-pressured send, or the barrier.
+	// closes down, releasing every node blocked in a receive or a
+	// back-pressured send.
 	down     chan struct{}
 	downOnce sync.Once
 	failMu   sync.Mutex
@@ -169,7 +165,7 @@ type Machine struct {
 
 // NewMachine builds a machine with cfg.P processor nodes.
 func NewMachine(cfg Config) *Machine {
-	m := &Machine{Cfg: cfg, nodes: make([]*Node, cfg.P), bar: newBarrier(cfg.P), down: make(chan struct{})}
+	m := &Machine{Cfg: cfg, nodes: make([]*Node, cfg.P), down: make(chan struct{})}
 	switch cfg.Topology {
 	case Torus2D:
 		q := intSqrt(cfg.P)
@@ -291,9 +287,6 @@ func (m *Machine) RunErr(program func(n *Node)) (RunStats, error) {
 	m.failMu.Lock()
 	m.failErr = nil
 	m.failMu.Unlock()
-	// Re-arm the barrier: a previous aborted run may have left it
-	// broken or mid-generation with a nonzero arrival count.
-	m.bar.reset()
 	// Reset every node before starting any program: a node started
 	// early may deliver its first messages to a peer whose reset has
 	// not happened yet, and reset drains the inbox — the message would
@@ -365,20 +358,17 @@ func (n *Node) runProgram(program func(*Node)) {
 		} else {
 			n.m.panics <- fmt.Sprintf("node %d: %v", n.ID, r)
 		}
-		// Release peers blocked in receives, back-pressured
-		// sends, or the barrier so the run's wait terminates.
+		// Release peers blocked in receives or back-pressured
+		// sends so the run's wait terminates.
 		n.m.abort()
 	}()
 	program(n)
 }
 
-// abort releases every node blocked in a receive, a back-pressured send
-// or the barrier. Idempotent.
+// abort releases every node blocked in a receive or a back-pressured
+// send. Idempotent.
 func (m *Machine) abort() {
-	m.downOnce.Do(func() {
-		close(m.down)
-		m.bar.abort()
-	})
+	m.downOnce.Do(func() { close(m.down) })
 }
 
 // recordFault keeps the most informative fault: an originating failure
@@ -448,21 +438,16 @@ type Node struct {
 
 	// pend indexes out-of-order arrivals by (source, tag) so match is
 	// O(1) instead of a scan of every parked message. Queues are FIFO
-	// per key; emptied queues keep their backing arrays for reuse. The
-	// mutex exists for Machine.Diagnose, which reads from a watchdog
-	// goroutine — all other access is from the node's own goroutine.
-	pendMu  sync.Mutex
-	pend    map[pendKey][]*Msg
-	pendLen int
+	// per key; emptied queues keep their backing arrays for reuse. No
+	// lock: during a run only the node's own goroutine touches it, and
+	// the run-driving goroutine releases it (reset, RunErr's abort path,
+	// Close) only between runs. The previous run's runWG.Wait orders
+	// that after the node's accesses; the next run's goroutine spawn or
+	// work hand-off orders it before them.
+	pend map[pendKey][]*Msg
 
 	msgs, words, startups, wordHops, flops, retries int64
 	peakWords                                       int
-
-	// Diagnostic state, written before blocking in match and read
-	// (racily, diagnostics only) by Machine.Diagnose.
-	waitSrc atomic.Int64
-	waitTag atomic.Uint64
-	waiting atomic.Bool
 }
 
 func (n *Node) reset() {
@@ -480,7 +465,6 @@ func (n *Node) reset() {
 // and header pools. Safe to call from the run-driving goroutine when no
 // node program is executing.
 func (n *Node) releaseParked() {
-	n.pendMu.Lock()
 	for k, q := range n.pend {
 		for i, msg := range q {
 			msg.Release()
@@ -488,8 +472,6 @@ func (n *Node) releaseParked() {
 		}
 		n.pend[k] = q[:0]
 	}
-	n.pendLen = 0
-	n.pendMu.Unlock()
 	for {
 		select {
 		case msg := <-n.inbox:
@@ -802,18 +784,13 @@ type pendKey struct {
 // enqueuePending parks a message that no receive is waiting for yet.
 func (n *Node) enqueuePending(msg *Msg) {
 	key := pendKey{msg.Src, msg.Tag}
-	n.pendMu.Lock()
 	n.pend[key] = append(n.pend[key], msg)
-	n.pendLen++
-	n.pendMu.Unlock()
 }
 
 // takePending pops the oldest parked message for key, if any. The
 // backing array is retained (shifted down) so steady-state matching
 // does not allocate.
 func (n *Node) takePending(key pendKey) *Msg {
-	n.pendMu.Lock()
-	defer n.pendMu.Unlock()
 	q := n.pend[key]
 	if len(q) == 0 {
 		return nil
@@ -822,7 +799,6 @@ func (n *Node) takePending(key pendKey) *Msg {
 	copy(q, q[1:])
 	q[len(q)-1] = nil
 	n.pend[key] = q[:len(q)-1]
-	n.pendLen--
 	return msg
 }
 
@@ -832,10 +808,6 @@ func (n *Node) match(src int, tag uint64) *Msg {
 	if msg := n.takePending(key); msg != nil {
 		return msg
 	}
-	n.waitSrc.Store(int64(src))
-	n.waitTag.Store(tag)
-	n.waiting.Store(true)
-	defer n.waiting.Store(false)
 	for {
 		// Fast path: drain whatever already sits in the inbox with
 		// non-blocking receives before paying for the two-case select.
@@ -863,48 +835,6 @@ func (n *Node) match(src int, tag uint64) *Msg {
 			panic(n.abortFault("recv", src, n.ID, tag))
 		}
 	}
-}
-
-// Diagnose reports, for every node currently blocked in a receive, the
-// (source, tag) it waits for and the (source, tag) pairs parked in its
-// pending set (sorted by source then tag for stable output). The
-// waiting flags are racy by design — call it from a watchdog while a
-// run appears stalled; the pending index itself is read under its lock.
-func (m *Machine) Diagnose() string {
-	var sb strings.Builder
-	for _, n := range m.nodes {
-		if !n.waiting.Load() {
-			continue
-		}
-		n.pendMu.Lock()
-		keys := make([]pendKey, 0, len(n.pend))
-		for k, q := range n.pend {
-			if len(q) > 0 {
-				keys = append(keys, k)
-			}
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].src != keys[j].src {
-				return keys[i].src < keys[j].src
-			}
-			return keys[i].tag < keys[j].tag
-		})
-		fmt.Fprintf(&sb, "node %d waits on (src=%d tag=%#x); inbox=%d pending=[",
-			n.ID, n.waitSrc.Load(), n.waitTag.Load(), len(n.inbox))
-		first := true
-		for _, k := range keys {
-			for range n.pend[k] {
-				if !first {
-					sb.WriteByte(' ')
-				}
-				first = false
-				fmt.Fprintf(&sb, "(%d,%#x)", k.src, k.tag)
-			}
-		}
-		n.pendMu.Unlock()
-		sb.WriteString("]\n")
-	}
-	return sb.String()
 }
 
 // Compute charges flops floating-point operations to the node clock.
@@ -940,15 +870,6 @@ func (n *Node) Mul(a, b *matrix.Dense) *matrix.Dense {
 func (n *Node) NoteWords(words int) {
 	if words > n.peakWords {
 		n.peakWords = words
-	}
-}
-
-// AdvanceTo moves the node clock forward to t if t is later; used by
-// collectives to model synchronized phase boundaries. It never moves
-// the clock backward.
-func (n *Node) AdvanceTo(t float64) {
-	if t > n.now {
-		n.now = t
 	}
 }
 

@@ -1,9 +1,7 @@
 package simnet
 
 import (
-	"strings"
 	"testing"
-	"time"
 
 	"hypermm/internal/matrix"
 )
@@ -328,74 +326,6 @@ func TestNoEarlySendLossRegression(t *testing.T) {
 	}
 }
 
-func TestDiagnoseShowsBlockedNodes(t *testing.T) {
-	m := mach(2, OnePort, 0, 0, 0)
-	started := make(chan struct{})
-	finish := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m.Run(func(n *Node) {
-			if n.ID == 1 {
-				close(started)
-				n.Recv(0, 42).Release() // blocks until node 0 sends
-			} else {
-				<-finish
-				n.Send(1, 42, []float64{1})
-			}
-		})
-	}()
-	// Join the run before returning: its final send otherwise checks a
-	// payload box out of the pool concurrently with the next test, which
-	// under -shuffle=on can be a pool-balance snapshot.
-	defer func() { <-done }()
-	defer close(finish)
-	<-started
-	// Give node 1 a moment to block in match().
-	for i := 0; i < 100; i++ {
-		if s := m.Diagnose(); s != "" {
-			if !strings.Contains(s, "waits on (src=0 tag=0x2a)") {
-				t.Errorf("diagnose output unexpected: %q", s)
-			}
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Error("Diagnose never reported the blocked node")
-}
-
-func TestBarrierAlignsClocks(t *testing.T) {
-	m := mach(8, OnePort, 0, 0, 1)
-	rs := m.Run(func(n *Node) {
-		n.Compute(int64(100 * (n.ID + 1))) // staggered work
-		n.Barrier()
-		if n.Now() != 800 {
-			t.Errorf("node %d clock after barrier = %g, want 800", n.ID, n.Now())
-		}
-		// A second phase re-staggers and a second barrier re-aligns.
-		n.Compute(int64(10 * n.ID))
-		n.Barrier()
-		if n.Now() != 870 {
-			t.Errorf("node %d clock after 2nd barrier = %g, want 870", n.ID, n.Now())
-		}
-	})
-	if rs.Elapsed != 870 {
-		t.Errorf("elapsed = %g", rs.Elapsed)
-	}
-}
-
-func TestBarrierZeroCost(t *testing.T) {
-	m := mach(4, OnePort, 5, 5, 0)
-	rs := m.Run(func(n *Node) {
-		for i := 0; i < 10; i++ {
-			n.Barrier()
-		}
-	})
-	if rs.Elapsed != 0 {
-		t.Errorf("barriers charged time: %g", rs.Elapsed)
-	}
-}
-
 func TestFaultInjection(t *testing.T) {
 	// A fault hook can corrupt payloads in flight; the receiver sees
 	// the corruption (this is how the end-to-end verification tests
@@ -579,15 +509,6 @@ func TestNodeAccessorsAndHelpers(t *testing.T) {
 			c := n.Mul(a, b)
 			if matrix.MaxAbsDiff(c, matrix.Mul(a, b)) > 1e-12 {
 				t.Error("node Mul wrong")
-			}
-			before := n.Now()
-			n.AdvanceTo(before - 5) // never backward
-			if n.Now() != before {
-				t.Error("AdvanceTo moved backward")
-			}
-			n.AdvanceTo(before + 5)
-			if n.Now() != before+5 {
-				t.Error("AdvanceTo did not move forward")
 			}
 		}
 	})

@@ -10,7 +10,7 @@ import (
 
 // MachinePool keeps warm simulated machines for reuse across runs. The
 // paper's algorithms assume a standing hypercube; cold Run pays for
-// building one — P node goroutines, inbox channels, a barrier — on every
+// building one — P node goroutines and their inbox channels — on every
 // call, which dominates steady-state serving once the kernel is fast.
 // A pool checks machines out by their identity (P, ports, t_s, t_w,
 // t_c), resets them between runs (the reset is byte-identical to a
