@@ -550,3 +550,30 @@ func TestTorusNodeWraps(t *testing.T) {
 		t.Error("coords round trip wrong")
 	}
 }
+
+// TestConfigValidate: the machine inputs every caller checks before
+// building a machine.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{P: 1}, true},
+		{Config{P: 64, Ts: 150, Tw: 3, Tc: 0.5, Deadline: 1e6}, true},
+		{Config{P: 9, Topology: Torus2D}, true},
+		{Config{P: 0}, false},
+		{Config{P: -8}, false},
+		{Config{P: 12}, false},
+		{Config{P: 9}, false},
+		{Config{P: 8, Topology: Torus2D}, false},
+		{Config{P: 0, Topology: Torus2D}, false},
+		{Config{P: 8, Ts: -1}, false},
+		{Config{P: 8, Tw: -1}, false},
+		{Config{P: 8, Tc: -1}, false},
+		{Config{P: 8, Deadline: -1}, false},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate() = %v, want ok=%v", tc.cfg, err, tc.ok)
+		}
+	}
+}
