@@ -36,7 +36,7 @@ func TestRunByteBudget(t *testing.T) {
 		{448, 64, 28_445_000}, // 64.1 MB before
 	} {
 		pool := NewMachinePool(1)
-		cfg := DefaultConfig(tc.p)
+		cfg := Config{P: tc.p, Ports: OnePort, Ts: 150, Tw: 3, Tc: 0.5}
 		A, B := RandomMatrix(tc.n, tc.n, 1), RandomMatrix(tc.n, tc.n, 2)
 		best := warmRunBytes(t, func() {
 			if _, err := pool.RunOn(ThreeAll, cfg, A, B); err != nil {

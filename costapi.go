@@ -91,13 +91,6 @@ func IsoefficiencyN(alg Algorithm, p, target, ts, tw, tc float64, ports PortMode
 	return cost.IsoefficiencyN(cost.Alg(alg), p, target, ts, tw, tc, ports.internal())
 }
 
-// CrossoverP finds the smallest machine size in [pLo, pHi] at which
-// algorithm b becomes at least as cheap (in analytic communication
-// time) as algorithm a, or ok=false if none exists in the bracket.
-func CrossoverP(a, b Algorithm, n, ts, tw float64, ports PortModel, pLo, pHi float64) (float64, bool) {
-	return cost.CrossoverP(cost.Alg(a), cost.Alg(b), n, ts, tw, ports.internal(), pLo, pHi)
-}
-
 // Aligned reports whether the algorithm's result matrix is distributed
 // exactly like its operands — the paper's chaining property (true for
 // Simple, Cannon, HJE, Fox, DNS, 3DD and 3D All; false for Berntsen,

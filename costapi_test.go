@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hypermm/internal/cost"
+	"hypermm/internal/simnet"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata goldens from the current code")
@@ -47,12 +50,12 @@ func TestCrossoverPNoCrossover(t *testing.T) {
 	// Cannon's shifting rounds never undercut Simple's single all-to-all
 	// broadcast in pure communication time (Simple loses on space,
 	// Table 3, not on Table 2 time), so no crossover exists.
-	if p, ok := CrossoverP(Simple, Cannon, 256, 150, 3, OnePort, 4, 1024); ok {
+	if p, ok := cost.CrossoverP(cost.Simple, cost.Cannon, 256, 150, 3, simnet.OnePort, 4, 1024); ok {
 		t.Errorf("CrossoverP(Simple, Cannon) = %g, ok=true; want no crossover", p)
 	}
 	// Endpoints where the challenger is inapplicable also yield ok=false:
 	// Cannon needs p <= n^2, violated at pHi for n=16.
-	if _, ok := CrossoverP(Simple, Cannon, 16, 150, 3, OnePort, 4, 4096); ok {
+	if _, ok := cost.CrossoverP(cost.Simple, cost.Cannon, 16, 150, 3, simnet.OnePort, 4, 4096); ok {
 		t.Error("CrossoverP with inapplicable endpoint reported a crossover")
 	}
 }
@@ -60,7 +63,7 @@ func TestCrossoverPNoCrossover(t *testing.T) {
 func TestCrossoverPExisting(t *testing.T) {
 	// Sanity bracket: ThreeAll overtakes Cannon as p grows at fixed n
 	// (the Figure 13 story), so the searched crossover must be inside.
-	p, ok := CrossoverP(Cannon, ThreeAll, 512, 150, 3, OnePort, 4, 1<<16)
+	p, ok := cost.CrossoverP(cost.Cannon, cost.ThreeAll, 512, 150, 3, simnet.OnePort, 4, 1<<16)
 	if !ok {
 		t.Fatal("expected a Cannon -> 3D All crossover for n=512")
 	}

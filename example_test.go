@@ -89,21 +89,6 @@ func ExampleCollectiveCost() {
 	// all-to-all broadcast, multi-port: a=3 b=224
 }
 
-// The rectangular-grid 3-D All variant runs where the cube cannot:
-// p = 128 processors on a 16 x 16 problem exceeds n^1.5 = 64.
-func ExampleRunThreeAllGrid() {
-	A := hypermm.RandomMatrix(16, 16, 1)
-	B := hypermm.RandomMatrix(16, 16, 2)
-	cfg := hypermm.Config{P: 128, Ports: hypermm.OnePort, Ts: 150, Tw: 3, Tc: 0}
-	res, err := hypermm.RunThreeAllGrid(cfg, A, B, 2) // 8 x 2 x 8 grid
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("verified:", hypermm.Verify(A, B, res.C, 1e-6) == nil)
-	// Output:
-	// verified: true
-}
-
 // Isoefficiency, the scalability metric of Gupta and Kumar: the
 // problem size needed to keep an algorithm at 50% efficiency. 3-D All's
 // lower communication overhead makes its curve the flattest.

@@ -165,9 +165,3 @@ type Config struct {
 	// consume; Run surfaces ErrDeadline when a node's clock passes it.
 	Deadline float64
 }
-
-// DefaultConfig returns the paper's headline parameter set
-// (t_s = 150, t_w = 3) on a one-port machine with p processors.
-func DefaultConfig(p int) Config {
-	return Config{P: p, Ports: OnePort, Ts: 150, Tw: 3, Tc: 0.5}
-}

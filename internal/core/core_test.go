@@ -301,6 +301,15 @@ func TestThreeAllRepeated(t *testing.T) {
 	}
 }
 
+// TestThreeAllRepeatedRejectsNegativeRounds: a negative round count is
+// an error, not an empty loop that returns A.
+func TestThreeAllRepeatedRejectsNegativeRounds(t *testing.T) {
+	A := matrix.Random(8, 8, 1)
+	if _, _, err := core.ThreeAllRepeated(newM(8, simnet.OnePort, 1, 0, 0), A, -1); err == nil {
+		t.Error("accepted negative rounds")
+	}
+}
+
 // TestThreeAllRepeatedSingleSession: all rounds run in one machine
 // session — message counts scale linearly with rounds and no
 // redistribution traffic appears between rounds.

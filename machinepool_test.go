@@ -15,7 +15,7 @@ import (
 func TestMachinePoolRunOnMatchesRun(t *testing.T) {
 	pool := NewMachinePool(4)
 	defer pool.Close()
-	cfg := DefaultConfig(16)
+	cfg := Config{P: 16, Ports: OnePort, Ts: 150, Tw: 3, Tc: 0.5}
 	A := RandomMatrix(16, 16, 1)
 	B := RandomMatrix(16, 16, 2)
 	for round := 0; round < 3; round++ {
@@ -55,7 +55,7 @@ func TestMachinePoolTracedAndFaulted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("traced warm run: %v", err)
 	}
-	if tr.Events() == 0 {
+	if len(tr.TimelineEvents()) == 0 {
 		t.Fatal("traced warm run recorded no events")
 	}
 	want, _, err := RunTraced(Cannon, cfg, A, B)
@@ -260,7 +260,7 @@ func TestArenaMatricesMatchHeapMatrices(t *testing.T) {
 func TestArenaAdoptRecyclesProduct(t *testing.T) {
 	pool := NewMachinePool(1)
 	defer pool.Close()
-	cfg := DefaultConfig(4)
+	cfg := Config{P: 4, Ports: OnePort, Ts: 150, Tw: 3, Tc: 0.5}
 	want, err := Run(Cannon, cfg, RandomMatrix(16, 16, 7), RandomMatrix(16, 16, 8))
 	if err != nil {
 		t.Fatal(err)

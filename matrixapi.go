@@ -26,12 +26,6 @@ func RandomMatrix(r, c int, seed int64) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: d.Data}
 }
 
-// IdentityMatrix returns the n x n identity.
-func IdentityMatrix(n int) *Matrix {
-	d := matrix.Identity(n)
-	return &Matrix{Rows: n, Cols: n, Data: d.Data}
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.internal().At(i, j) }
 
@@ -61,22 +55,8 @@ func MatMul(a, b *Matrix) *Matrix {
 	return fromInternal(matrix.Mul(a.internal(), b.internal()))
 }
 
-// SetKernelParallelism sets the number of OS-level workers the local
-// GEMM kernel may use (minimum 1) and returns the previous setting.
-// Results are bitwise identical at every level; parallelism only
-// changes wall-clock speed, never simulated times.
-func SetKernelParallelism(n int) int { return matrix.SetParallelism(n) }
-
-// KernelParallelism returns the kernel worker budget.
-func KernelParallelism() int { return matrix.Parallelism() }
-
 // MaxAbsDiff returns the largest absolute element-wise difference of
 // two equal-shaped matrices.
 func MaxAbsDiff(a, b *Matrix) float64 {
 	return matrix.MaxAbsDiff(a.internal(), b.internal())
-}
-
-// AlmostEqual reports whether a and b agree element-wise within tol.
-func AlmostEqual(a, b *Matrix, tol float64) bool {
-	return matrix.AlmostEqual(a.internal(), b.internal(), tol)
 }

@@ -3,6 +3,8 @@ package hypermm
 import (
 	"runtime"
 	"testing"
+
+	"hypermm/internal/matrix"
 )
 
 // TestKernelParallelismInvariance pins the tentpole invariant of the
@@ -21,12 +23,11 @@ func TestKernelParallelismInvariance(t *testing.T) {
 	}
 	levels := []int{1, 2, runtime.GOMAXPROCS(0)}
 	var runs []run
-	prev := SetKernelParallelism(1)
-	defer SetKernelParallelism(prev)
+	defer matrix.SetParallelism(matrix.SetParallelism(1))
 	for _, lv := range levels {
-		SetKernelParallelism(lv)
-		if got := KernelParallelism(); got != lv {
-			t.Fatalf("KernelParallelism() = %d after SetKernelParallelism(%d)", got, lv)
+		matrix.SetParallelism(lv)
+		if got := matrix.Parallelism(); got != lv {
+			t.Fatalf("Parallelism() = %d after SetParallelism(%d)", got, lv)
 		}
 		res, err := Run(ThreeAll, cfg, A, B)
 		if err != nil {
@@ -48,15 +49,16 @@ func TestKernelParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestSetKernelParallelismRestore checks the previous-value return that
-// makes scoped overrides possible.
+// TestSetKernelParallelismRestore checks the previous-value return of
+// the kernel's worker-budget setter that makes scoped overrides, like
+// the one above, possible.
 func TestSetKernelParallelismRestore(t *testing.T) {
-	orig := SetKernelParallelism(3)
-	if got := SetKernelParallelism(orig); got != 3 {
-		t.Errorf("SetKernelParallelism returned %d, want 3", got)
+	orig := matrix.SetParallelism(3)
+	if got := matrix.SetParallelism(orig); got != 3 {
+		t.Errorf("SetParallelism returned %d, want 3", got)
 	}
-	if got := KernelParallelism(); got != orig {
-		t.Errorf("KernelParallelism() = %d, want restored %d", got, orig)
+	if got := matrix.Parallelism(); got != orig {
+		t.Errorf("Parallelism() = %d, want restored %d", got, orig)
 	}
 }
 

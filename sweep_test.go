@@ -3,6 +3,8 @@ package hypermm
 import (
 	"fmt"
 	"testing"
+
+	"hypermm/internal/matrix"
 )
 
 // TestCorrectnessSweep runs every algorithm across a grid of machine
@@ -66,7 +68,7 @@ func TestSpecialOperandsSweep(t *testing.T) {
 		t.Run(alg.Name(), func(t *testing.T) {
 			A := RandomMatrix(n, n, 5)
 			// A * I == A exactly (no rounding: one term per entry).
-			res, err := Run(alg, cfg, A, IdentityMatrix(n))
+			res, err := Run(alg, cfg, A, fromInternal(matrix.Identity(n)))
 			if err != nil {
 				t.Fatal(err)
 			}
