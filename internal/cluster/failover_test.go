@@ -27,9 +27,11 @@ func fastCfg() Config {
 // the correct result.
 func TestFailoverOnWorkerDeath(t *testing.T) {
 	started := make(chan struct{}, 1)
+	returned := make(chan struct{})
 	stuck := func(ctx context.Context, alg hypermm.Algorithm, cfg hypermm.Config, A, B *hypermm.Matrix) (*hypermm.Result, error) {
 		started <- struct{}{}
 		<-ctx.Done() // never answers; the connection death is the signal
+		close(returned)
 		return nil, ctx.Err()
 	}
 	coord, workers := testCluster(t, fastCfg(), stuck, LocalExec)
@@ -85,6 +87,13 @@ func TestFailoverOnWorkerDeath(t *testing.T) {
 	}
 	if len(st.Workers) != 1 {
 		t.Errorf("dead worker still registered: %+v", st.Workers)
+	}
+	// The job's context is the connection's: dropping the connection
+	// cancels the job it carried.
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Error("the stuck job outlived its aborted connection")
 	}
 }
 
