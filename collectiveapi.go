@@ -65,8 +65,8 @@ func CollectiveCost(c Collective, N, M float64, ports PortModel) (a, b float64) 
 // and returns the measured coefficients — the empirical counterpart of
 // CollectiveCost.
 func MeasuredCollective(c Collective, N, M int, ports PortModel) (a, b float64, err error) {
-	if N <= 0 || N&(N-1) != 0 {
-		return 0, 0, fmt.Errorf("hypermm: N=%d is not a positive power of two", N)
+	if err := (simnet.Config{P: N}).Validate(); err != nil {
+		return 0, 0, err
 	}
 	if M <= 0 {
 		return 0, 0, fmt.Errorf("hypermm: M=%d must be positive", M)

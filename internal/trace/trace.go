@@ -102,13 +102,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
 // Span returns the latest event end time.
 func (l *Log) Span() float64 {
 	l.mu.Lock()
