@@ -65,7 +65,7 @@ func CollectiveCost(c Collective, N, M float64, ports PortModel) (a, b float64) 
 // and returns the measured coefficients — the empirical counterpart of
 // CollectiveCost.
 func MeasuredCollective(c Collective, N, M int, ports PortModel) (a, b float64, err error) {
-	if err := (simnet.Config{P: N}).Validate(); err != nil {
+	if err := (simnet.Config{P: N, Ports: simnet.PortModel(ports)}).Validate(); err != nil {
 		return 0, 0, err
 	}
 	if M <= 0 {

@@ -48,7 +48,7 @@ const (
 )
 
 // String implements fmt.Stringer.
-func (pm PortModel) String() string { return pm.internal().String() }
+func (pm PortModel) String() string { return simnet.PortModel(pm).String() }
 
 func (pm PortModel) internal() simnet.PortModel {
 	switch pm {

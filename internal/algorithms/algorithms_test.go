@@ -120,7 +120,11 @@ func TestTrivialMachine(t *testing.T) {
 func TestIdentityOperand(t *testing.T) {
 	A := matrix.Random(16, 16, 7)
 	m := newM(16, simnet.OnePort)
-	C, _, err := Cannon(m, A, matrix.Identity(16))
+	I := matrix.New(16, 16)
+	for i := 0; i < 16; i++ {
+		I.Set(i, i, 1)
+	}
+	C, _, err := Cannon(m, A, I)
 	if err != nil {
 		t.Fatal(err)
 	}

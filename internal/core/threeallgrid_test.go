@@ -35,7 +35,7 @@ func TestThreeAllGridMatchesCube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.AlmostEqual(cube, rect, 1e-9) {
+	if matrix.MaxAbsDiff(cube, rect) > 1e-9 {
 		t.Error("cube and grid results differ")
 	}
 	if s1.Elapsed != s2.Elapsed {

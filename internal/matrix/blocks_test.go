@@ -61,7 +61,7 @@ func TestGridBlockRectangular(t *testing.T) {
 
 func TestAddBlockAndAddGridBlock(t *testing.T) {
 	m := New(6, 6)
-	one := Identity(3)
+	one := identity(3)
 	m.AddBlock(0, 0, one)
 	m.AddBlock(0, 0, one)
 	if m.At(0, 0) != 2 {
@@ -188,17 +188,17 @@ func TestMorePanicPaths(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("SetBlock out of range", func() { m.SetBlock(3, 3, Identity(2)) })
-	mustPanic("AddBlock out of range", func() { m.AddBlock(3, 3, Identity(2)) })
+	mustPanic("SetBlock out of range", func() { m.SetBlock(3, 3, identity(2)) })
+	mustPanic("AddBlock out of range", func() { m.AddBlock(3, 3, identity(2)) })
 	mustPanic("GridBlock bad index", func() { m.GridBlock(2, 2, 2, 0) })
-	mustPanic("SetGridBlock bad shape", func() { m.SetGridBlock(2, 2, 0, 0, Identity(3)) })
-	mustPanic("AddGridBlock bad shape", func() { m.AddGridBlock(2, 2, 0, 0, Identity(3)) })
+	mustPanic("SetGridBlock bad shape", func() { m.SetGridBlock(2, 2, 0, 0, identity(3)) })
+	mustPanic("AddGridBlock bad shape", func() { m.AddGridBlock(2, 2, 0, 0, identity(3)) })
 	mustPanic("RowGroup bad index", func() { m.RowGroup(2, 2) })
 	mustPanic("ColGroup bad index", func() { m.ColGroup(2, -1) })
-	mustPanic("ConcatCols row mismatch", func() { ConcatCols(Identity(2), Identity(3)) })
-	mustPanic("ConcatRows col mismatch", func() { ConcatRows(Identity(2), Identity(3)) })
-	mustPanic("AssembleGrid ragged", func() { AssembleGrid([][]*Dense{{Identity(2), Identity(2)}, {Identity(2)}}) })
-	mustPanic("AssembleGrid shape", func() { AssembleGrid([][]*Dense{{Identity(2)}, {Identity(3)}}) })
+	mustPanic("ConcatCols row mismatch", func() { ConcatCols(identity(2), identity(3)) })
+	mustPanic("ConcatRows col mismatch", func() { ConcatRows(identity(2), identity(3)) })
+	mustPanic("AssembleGrid ragged", func() { AssembleGrid([][]*Dense{{identity(2), identity(2)}, {identity(2)}}) })
+	mustPanic("AssembleGrid shape", func() { AssembleGrid([][]*Dense{{identity(2)}, {identity(3)}}) })
 	mustPanic("FromSlice bad len", func() { FromSlice(2, 2, make([]float64, 3)) })
 	mustPanic("At out of range", func() { m.At(4, 0) })
 	mustPanic("Set out of range", func() { m.Set(0, 4, 1) })

@@ -37,15 +37,6 @@ func FromSlice(r, c int, data []float64) *Dense {
 	return &Dense{Rows: r, Cols: c, Data: data}
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // Random returns an r x c matrix with entries drawn uniformly from
 // [-1, 1) using the given seed. Deterministic for a fixed seed.
 func Random(r, c int, seed int64) *Dense {
@@ -230,14 +221,6 @@ func MaxAbsDiff(a, b *Dense) float64 {
 		}
 	}
 	return d
-}
-
-// AlmostEqual reports whether a and b agree element-wise within tol.
-func AlmostEqual(a, b *Dense, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	return MaxAbsDiff(a, b) <= tol
 }
 
 // String renders small matrices for debugging; large matrices are

@@ -33,12 +33,27 @@ func TestNewZeroed(t *testing.T) {
 	}
 }
 
+// identity returns the n x n identity matrix.
+func identity(n int) *Dense {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Data[i*n+i] = 1
+	}
+	return m
+}
+
+// almostEqual reports whether a and b have one shape and agree
+// element-wise within tol.
+func almostEqual(a, b *Dense, tol float64) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && MaxAbsDiff(a, b) <= tol
+}
+
 func TestIdentityMul(t *testing.T) {
 	a := Random(9, 9, 1)
-	if !Equal(Mul(a, Identity(9)), a) {
+	if !Equal(Mul(a, identity(9)), a) {
 		t.Error("A*I != A")
 	}
-	if !Equal(Mul(Identity(9), a), a) {
+	if !Equal(Mul(identity(9), a), a) {
 		t.Error("I*A != A")
 	}
 }
@@ -148,10 +163,10 @@ func TestMaxAbsDiffAndAlmostEqual(t *testing.T) {
 	a := Random(4, 4, 1)
 	b := a.Clone()
 	b.Set(2, 2, b.At(2, 2)+1e-9)
-	if !AlmostEqual(a, b, 1e-8) {
+	if !almostEqual(a, b, 1e-8) {
 		t.Error("AlmostEqual too strict")
 	}
-	if AlmostEqual(a, b, 1e-10) {
+	if almostEqual(a, b, 1e-10) {
 		t.Error("AlmostEqual too lax")
 	}
 	if math.Abs(MaxAbsDiff(a, b)-1e-9) > 1e-15 {
@@ -163,7 +178,7 @@ func TestEqualShapeMismatch(t *testing.T) {
 	if Equal(New(2, 3), New(3, 2)) {
 		t.Error("Equal ignored shape")
 	}
-	if AlmostEqual(New(2, 3), New(3, 2), 1) {
+	if almostEqual(New(2, 3), New(3, 2), 1) {
 		t.Error("AlmostEqual ignored shape")
 	}
 }
@@ -194,7 +209,7 @@ func TestZeroInPlace(t *testing.T) {
 }
 
 func TestStringForms(t *testing.T) {
-	small := Identity(2)
+	small := identity(2)
 	if small.String() == "" {
 		t.Error("empty String for small matrix")
 	}

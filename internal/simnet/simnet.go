@@ -68,10 +68,6 @@ type Config struct {
 	Tw    float64   // transfer time per word (per hop)
 	Tc    float64   // compute time per floating-point operation
 
-	// InboxCap overrides the per-node inbox channel capacity (0 means
-	// a generous default). It bounds sender run-ahead, not correctness.
-	InboxCap int
-
 	// Trace, when non-nil, records every send, receive and compute
 	// span (in simulated time) for Gantt rendering and utilization
 	// summaries. Tracing does not perturb the simulated clocks.
@@ -99,21 +95,15 @@ type Config struct {
 	// may consume; a node whose clock passes it fails with ErrDeadline
 	// at its next send, receive or collective step.
 	Deadline float64
-
-	// Persistent keeps one worker goroutine per node alive across runs:
-	// the first Run spawns them and subsequent runs hand the next
-	// program closure to the parked workers instead of respawning P
-	// goroutines. Machine pools use this to amortize setup across a
-	// serving workload; a persistent machine must be released with
-	// Close or its workers leak. Simulated clocks, counters and results
-	// are byte-identical in both modes (the per-run reset is the same).
-	Persistent bool
 }
 
 // Validate checks the machine inputs a caller supplies: P a positive
-// power of two (a positive square on the 2-D torus) and non-negative
-// t_s, t_w, t_c and deadline.
+// power of two (a positive square on the 2-D torus), a known port
+// model and non-negative t_s, t_w, t_c and deadline.
 func (c Config) Validate() error {
+	if c.Ports != OnePort && c.Ports != MultiPort {
+		return fmt.Errorf("simnet: invalid %v", c.Ports)
+	}
 	if q := intSqrt(c.P); c.Topology == Torus2D && (c.P <= 0 || q*q != c.P) || c.Topology != Torus2D && !hypercube.IsPow2(c.P) {
 		return fmt.Errorf("simnet: P=%d nodes cannot form a %v", c.P, c.Topology)
 	}
@@ -164,16 +154,8 @@ type Machine struct {
 	downOnce sync.Once
 	failMu   sync.Mutex
 	failErr  error
-
-	// Persistent-worker state (Cfg.Persistent): one goroutine per node
-	// parks on its work channel between runs. started/closed are only
-	// touched from the run-driving goroutine (RunErr and Close are not
-	// safe to call concurrently, same as two overlapping runs never
-	// were).
-	started bool
-	closed  bool
-	runWG   sync.WaitGroup
-	panics  chan string
+	runWG    sync.WaitGroup
+	panics   chan string
 }
 
 // NewMachine builds a machine with cfg.P processor nodes. It panics
@@ -188,10 +170,7 @@ func NewMachine(cfg Config) *Machine {
 	} else {
 		m.Cube = hypercube.New(cfg.P)
 	}
-	cap := cfg.InboxCap
-	if cap <= 0 {
-		cap = 8*m.numPorts() + 64
-	}
+	cap := 8*m.numPorts() + 64
 	for id := range m.nodes {
 		m.nodes[id] = &Node{
 			ID:       id,
@@ -200,28 +179,18 @@ func NewMachine(cfg Config) *Machine {
 			pend:     make(map[pendKey][]*Msg),
 			sendPort: make([]float64, m.numPorts()),
 			recvPort: make([]float64, m.numPorts()),
-			work:     make(chan func(*Node), 1),
 		}
 	}
 	return m
 }
 
-// Close releases the machine: parked in-flight message buffers return
-// to their pools and, on a persistent machine, the node worker
-// goroutines exit. A closed machine cannot run again. Close is
-// idempotent; it must not race a run in flight. Non-persistent machines
-// need no Close (their per-run goroutines exit on their own), but
-// calling it is always safe.
+// Close returns the message buffers still parked in the machine's
+// inboxes and pending queues to their pools. A machine holds no
+// goroutines between runs, so Close is optional, idempotent, and leaves
+// the machine usable; it must not race a run in flight.
 func (m *Machine) Close() {
-	if m.closed {
-		return
-	}
-	m.closed = true
 	for _, n := range m.nodes {
 		n.releaseParked()
-		if m.started {
-			close(n.work)
-		}
 	}
 }
 
@@ -287,12 +256,8 @@ func (m *Machine) Run(program func(n *Node)) RunStats {
 // originating fault is returned as an error that errors.Is can match.
 // Any other node panic is re-raised with the node id attached.
 func (m *Machine) RunErr(program func(n *Node)) (RunStats, error) {
-	if m.closed {
-		return RunStats{}, errors.New("simnet: machine is closed")
-	}
 	// Arm the abort machinery for this run. Node goroutines observe
-	// these writes through the happens-before edge of their spawn (or,
-	// on a persistent machine, of the work-channel hand-off).
+	// these writes through the happens-before edge of their spawn.
 	m.panics = make(chan string, len(m.nodes))
 	m.down = make(chan struct{})
 	m.downOnce = sync.Once{}
@@ -308,22 +273,8 @@ func (m *Machine) RunErr(program func(n *Node)) (RunStats, error) {
 		n.reset()
 	}
 	m.runWG.Add(len(m.nodes))
-	if m.Cfg.Persistent {
-		// Warm path: hand the program to the parked per-node workers.
-		if !m.started {
-			m.started = true
-			for _, n := range m.nodes {
-				go n.workLoop()
-			}
-		}
-		for _, n := range m.nodes {
-			n.work <- program
-		}
-	} else {
-		// Cold path: one fresh goroutine per node, per run.
-		for _, n := range m.nodes {
-			go n.runProgram(program)
-		}
+	for _, n := range m.nodes {
+		go n.runProgram(program)
 	}
 	m.runWG.Wait()
 	select {
@@ -344,15 +295,6 @@ func (m *Machine) RunErr(program func(n *Node)) (RunStats, error) {
 		return RunStats{}, err
 	}
 	return m.collect(), nil
-}
-
-// workLoop is a persistent node worker: it parks on the work channel
-// between runs and executes one program closure per hand-off, until
-// Close ends it.
-func (n *Node) workLoop() {
-	for program := range n.work {
-		n.runProgram(program)
-	}
 }
 
 // runProgram executes one run's program on the node, converting a typed
@@ -443,19 +385,14 @@ type Node struct {
 
 	inbox chan *Msg
 
-	// work receives one program closure per run when the machine is
-	// persistent (Cfg.Persistent); the node's worker goroutine parks on
-	// it between runs. Unused (but allocated) in cold mode.
-	work chan func(*Node)
-
 	// pend indexes out-of-order arrivals by (source, tag) so match is
 	// O(1) instead of a scan of every parked message. Queues are FIFO
 	// per key; emptied queues keep their backing arrays for reuse. No
 	// lock: during a run only the node's own goroutine touches it, and
 	// the run-driving goroutine releases it (reset, RunErr's abort path,
 	// Close) only between runs. The previous run's runWG.Wait orders
-	// that after the node's accesses; the next run's goroutine spawn or
-	// work hand-off orders it before them.
+	// that after the node's accesses; the next run's goroutine spawn
+	// orders it before them.
 	pend map[pendKey][]*Msg
 
 	msgs, words, startups, wordHops, flops, retries int64

@@ -475,19 +475,25 @@ func TestMultiPortRecvPortContention(t *testing.T) {
 	}
 }
 
+// TestInboxCapOverride overruns the inbox capacity (8·ports + 64) three
+// times over and receives in reverse tag order: the sender runs into
+// back-pressure, and the receiver parks every message but the one it
+// waits for in its pending queues.
 func TestInboxCapOverride(t *testing.T) {
-	m := NewMachine(Config{P: 2, Ports: OnePort, InboxCap: 1})
-	// With capacity 1, a sender run-ahead of 3 messages must still
-	// complete because the receiver drains.
+	m := NewMachine(Config{P: 2, Ports: OnePort})
+	if c := cap(m.Node(1).inbox); c != 72 {
+		t.Fatalf("inbox capacity %d at P=2; want the default 8·ports + 64 = 72", c)
+	}
+	const k = 3 * 72
 	m.Run(func(n *Node) {
 		if n.ID == 0 {
-			for k := 0; k < 3; k++ {
-				n.Send(1, uint64(k), []float64{float64(k)})
+			for tag := 0; tag < k; tag++ {
+				n.Send(1, uint64(tag), []float64{float64(tag)})
 			}
 		} else {
-			for k := 2; k >= 0; k-- { // reverse order forces pending use
-				if got := n.Recv(0, uint64(k)).Data[0]; got != float64(k) {
-					t.Errorf("tag %d got %g", k, got)
+			for tag := k - 1; tag >= 0; tag-- {
+				if got := n.Recv(0, uint64(tag)).Data[0]; got != float64(tag) {
+					t.Errorf("tag %d got %g", tag, got)
 				}
 			}
 		}
@@ -571,6 +577,9 @@ func TestConfigValidate(t *testing.T) {
 		{Config{P: 8, Tw: -1}, false},
 		{Config{P: 8, Tc: -1}, false},
 		{Config{P: 8, Deadline: -1}, false},
+		{Config{P: 8, Ports: MultiPort}, true},
+		{Config{P: 8, Ports: -1}, false},
+		{Config{P: 8, Ports: 2}, false},
 	} {
 		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%+v: Validate() = %v, want ok=%v", tc.cfg, err, tc.ok)

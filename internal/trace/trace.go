@@ -77,13 +77,6 @@ func (l *Log) Add(e Event) {
 	l.mu.Unlock()
 }
 
-// Reset drops all recorded events.
-func (l *Log) Reset() {
-	l.mu.Lock()
-	l.events = l.events[:0]
-	l.mu.Unlock()
-}
-
 // Events returns a copy of the recorded events sorted by (node, start).
 func (l *Log) Events() []Event {
 	l.mu.Lock()
@@ -194,44 +187,20 @@ type NodeStats struct {
 // Summary returns per-node busy-time totals and the overall
 // compute/communication split.
 func (l *Log) Summary() string {
-	evs := l.Events()
-	if len(evs) == 0 {
+	per := l.PerNode()
+	if len(per) == 0 {
 		return "(no events)\n"
 	}
-	per := map[int]*NodeStats{}
-	for _, e := range evs {
-		s, okk := per[e.Node]
-		if !okk {
-			s = &NodeStats{Node: e.Node}
-			per[e.Node] = s
-		}
-		d := e.End - e.Start
-		switch e.Kind {
-		case Send:
-			s.SendTime += d
-		case Recv:
-			s.RecvTime += d
-		case Compute:
-			s.ComputeTime += d
-		}
-		s.Events++
-	}
-	ids := make([]int, 0, len(per))
-	for id := range per {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	span := l.Span()
 	var sb strings.Builder
 	var totC, totM float64
 	fmt.Fprintf(&sb, "%-8s %10s %10s %10s %8s\n", "node", "compute", "send", "recv", "busy%")
-	for _, id := range ids {
-		s := per[id]
+	for _, s := range per {
 		busy := 0.0
 		if span > 0 {
 			busy = 100 * (s.ComputeTime + s.SendTime + s.RecvTime) / span
 		}
-		fmt.Fprintf(&sb, "%-8d %10.1f %10.1f %10.1f %7.1f%%\n", id, s.ComputeTime, s.SendTime, s.RecvTime, busy)
+		fmt.Fprintf(&sb, "%-8d %10.1f %10.1f %10.1f %7.1f%%\n", s.Node, s.ComputeTime, s.SendTime, s.RecvTime, busy)
 		totC += s.ComputeTime
 		totM += s.SendTime + s.RecvTime
 	}

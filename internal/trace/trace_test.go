@@ -110,15 +110,6 @@ func TestSummaryAndPerNode(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	l := New()
-	l.Add(Event{Node: 0, Kind: Compute, Start: 0, End: 1})
-	l.Reset()
-	if len(l.Events()) != 0 {
-		t.Error("reset left events")
-	}
-}
-
 func TestConcurrentAdd(t *testing.T) {
 	l := New()
 	var wg sync.WaitGroup

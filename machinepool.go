@@ -10,8 +10,10 @@ import (
 
 // MachinePool keeps warm simulated machines for reuse across runs. The
 // paper's algorithms assume a standing hypercube; cold Run pays for
-// building one — P node goroutines and their inbox channels — on every
-// call, which dominates steady-state serving once the kernel is fast.
+// building one — P nodes with their inbox channels, pending-message
+// maps and port arrays — on every call. A pooled machine keeps all of
+// that between runs and holds no goroutines: every run, warm or cold,
+// spawns one goroutine per node, and they exit when it ends.
 // A pool checks machines out by their identity (P, ports, t_s, t_w,
 // t_c), resets them between runs (the reset is byte-identical to a
 // fresh machine: same simulated clocks, counters and results — pinned
@@ -146,7 +148,6 @@ func (p *MachinePool) checkout(cfg Config) (*simnet.Machine, error) {
 	p.mu.Unlock()
 	hit := m != nil
 	if m == nil {
-		sc.Persistent = true
 		m = simnet.NewMachine(sc)
 	}
 	m.Cfg.Faults = sc.Faults
@@ -160,7 +161,7 @@ func (p *MachinePool) checkout(cfg Config) (*simnet.Machine, error) {
 // checkin parks the machine for reuse, stripping its per-run
 // configuration, and evicts the least-recently-used idle machine when
 // the capacity bound is exceeded. A machine returned to a closed pool
-// is closed instead of parked.
+// is closed and dropped instead of parked.
 func (p *MachinePool) checkin(m *simnet.Machine) {
 	m.Cfg.Faults = nil
 	m.Cfg.Deadline = 0
@@ -196,10 +197,10 @@ func (p *MachinePool) checkin(m *simnet.Machine) {
 	}
 }
 
-// Close shuts the pool: every idle machine's worker goroutines exit and
-// further checkouts build disposable machines (returned machines are
-// closed, not parked). Runs in flight on checked-out machines are
-// unaffected. Idempotent.
+// Close shuts the pool: every idle machine hands its parked message
+// buffers back and is dropped, and further checkouts build disposable
+// machines (returned machines are closed, not parked). Runs in flight
+// on checked-out machines are unaffected. Idempotent.
 func (p *MachinePool) Close() {
 	p.mu.Lock()
 	if p.closed {

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestMachinePoolRunOnMatchesRun pins the pool's core contract: a warm
@@ -38,6 +40,46 @@ func TestMachinePoolRunOnMatchesRun(t *testing.T) {
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("expected both hits and misses, got %+v", st)
 	}
+}
+
+// TestMachinePoolHoldsNoGoroutines checks a pooled machine keeps no
+// goroutines between runs: after a cold (miss), a warm (hit) and a
+// faulted RunOn, the goroutine count returns to its baseline while the
+// machine sits in the pool, without Close.
+func TestMachinePoolHoldsNoGoroutines(t *testing.T) {
+	cfg := Config{P: 64, Ports: OnePort, Ts: 1, Tw: 1}
+	A := RandomMatrix(16, 16, 5)
+	B := RandomMatrix(16, 16, 6)
+	base := runtime.NumGoroutine()
+	pool := NewMachinePool(1)
+	hostile := cfg
+	hostile.Faults = &FaultPlan{Seed: 1, Down: []Window{{Src: -1, Dst: -1, From: 0, To: Forever}}, MaxRetries: 1}
+	for _, run := range []struct {
+		name    string
+		cfg     Config
+		wantErr error
+	}{{"cold", cfg, nil}, {"warm", cfg, nil}, {"faulted", hostile, ErrLinkDown}} {
+		if _, err := pool.RunOn(Cannon, run.cfg, A, B); !errors.Is(err, run.wantErr) {
+			t.Fatalf("%s RunOn: got %v, want %v", run.name, err, run.wantErr)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("after the %s RunOn: %d goroutines, baseline %d", run.name, n, base)
+		}
+	}
+	if st := pool.Stats(); st.Hits != 2 || st.Misses != 1 || st.Size != 1 {
+		t.Errorf("pool stats %+v; want 2 hits, 1 miss, 1 idle machine", st)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is at most want
+// (node goroutines exit just after signalling the end of their run), or
+// the last count after a second of waiting.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
 }
 
 // TestMachinePoolTracedAndFaulted checks per-run configuration (traces,

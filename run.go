@@ -63,7 +63,7 @@ func runOn(m *simnet.Machine, run cost.Runner, A, B *Matrix) (*Result, error) {
 // Validate finds in it.
 func (cfg Config) machine() (simnet.Config, error) {
 	sc := simnet.Config{
-		P: cfg.P, Ports: cfg.Ports.internal(), Ts: cfg.Ts, Tw: cfg.Tw, Tc: cfg.Tc,
+		P: cfg.P, Ports: simnet.PortModel(cfg.Ports), Ts: cfg.Ts, Tw: cfg.Tw, Tc: cfg.Tc,
 		Faults: cfg.Faults.internal(), Deadline: cfg.Deadline,
 	}
 	return sc, sc.Validate()
