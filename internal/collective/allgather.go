@@ -17,7 +17,8 @@ type AllGatherOp struct {
 	phase      uint64
 	rows, cols int
 	w          int
-	held       []map[int][]float64 // per slice: absolute rank -> slice words
+	held       [][]float64 // slice l's piece of absolute rank r at l*q + r; nil until held
+	stage      stage
 }
 
 // NewAllGather prepares an all-gather of blk.
@@ -25,11 +26,11 @@ func (c Comm) NewAllGather(phase uint64, blk *matrix.Dense) *AllGatherOp {
 	op := &AllGatherOp{
 		c: c, phase: phase,
 		rows: blk.Rows, cols: blk.Cols, w: blk.Rows * blk.Cols,
+		held: make([][]float64, c.g*c.q),
 	}
-	op.held = make([]map[int][]float64, c.g)
-	for l := range op.held {
+	for l := 0; l < c.g; l++ {
 		lo, hi := sliceBounds(op.w, c.g, l)
-		op.held[l] = map[int][]float64{c.rank: blk.Data[lo:hi:hi]}
+		op.held[l*c.q+c.rank] = blk.Data[lo:hi:hi]
 	}
 	return op
 }
@@ -37,21 +38,28 @@ func (c Comm) NewAllGather(phase uint64, blk *matrix.Dense) *AllGatherOp {
 // Steps implements Op.
 func (op *AllGatherOp) Steps() int { return op.c.d }
 
-// SendStep implements Op.
+// SendStep implements Op. Step s sends the 2^s held pieces in rank
+// order: at step 0 the node's own piece, shared read-only; later a
+// fresh concatenation.
 func (op *AllGatherOp) SendStep(s int) {
 	op.c.check()
+	if s == 1 {
+		op.stage = make(stage, (op.c.q-2)*op.w)
+	}
 	for l := 0; l < op.c.g; l++ {
 		lo, hi := sliceBounds(op.w, op.c.g, l)
 		if lo == hi {
 			continue
 		}
 		b := op.c.bit(l, s)
-		keys := make([]int, 0, len(op.held[l]))
-		for r := range op.held[l] {
-			keys = append(keys, r)
+		held := op.held[l*op.c.q : (l+1)*op.c.q]
+		buf := held[op.c.rank]
+		if s > 0 {
+			buf = op.stage.take((hi - lo) << s)
+			for _, piece := range held {
+				buf = append(buf, piece...)
+			}
 		}
-		sortInts(keys)
-		buf := payload(len(keys), hi-lo, func(i int) []float64 { return op.held[l][keys[i]] })
 		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
 }
@@ -65,13 +73,20 @@ func (op *AllGatherOp) RecvStep(s int) {
 		}
 		b := op.c.bit(l, s)
 		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		incoming := subsets(op.c.rank^(1<<b), op.c.pastBits(l, s))
 		sz := hi - lo
-		if len(msg.Data) != len(incoming)*sz {
-			panic(fmt.Sprintf("collective: AllGather slice %d got %d words want %d", l, len(msg.Data), len(incoming)*sz))
+		if len(msg.Data) != sz<<s {
+			panic(fmt.Sprintf("collective: AllGather slice %d got %d words want %d", l, len(msg.Data), sz<<s))
 		}
-		for i, r := range incoming {
-			op.held[l][r] = msg.Data[i*sz : (i+1)*sz]
+		// The partner's pieces are its rank's past-bits cube, in
+		// ascending rank order.
+		from, past := op.c.rank^(1<<b), op.c.pastBits(l, s)
+		held := op.held[l*op.c.q : (l+1)*op.c.q]
+		i := 0
+		for r := range held {
+			if within(r, from, past) {
+				held[r] = msg.Data[i*sz : (i+1)*sz]
+				i++
+			}
 		}
 	}
 }
@@ -81,8 +96,8 @@ func (op *AllGatherOp) RecvStep(s int) {
 // received pieces; multi-port blocks are fresh copies.
 func (op *AllGatherOp) Result() []*matrix.Dense {
 	return op.c.blocks(op.c.q, op.rows, op.cols, func(pos, l int) []float64 {
-		piece, ok := op.held[l][hypercube.Gray(pos)]
-		if !ok {
+		piece := op.held[l*op.c.q+hypercube.Gray(pos)]
+		if piece == nil {
 			panic(fmt.Sprintf("collective: AllGather missing piece pos=%d slice=%d", pos, l))
 		}
 		return piece

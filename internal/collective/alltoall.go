@@ -21,11 +21,8 @@ type AllToAllOp struct {
 	phase      uint64
 	rows, cols int
 	w          int
-	held       []map[pieceKey][]float64
-}
-
-type pieceKey struct {
-	origin, dest int // absolute chain ranks
+	held       [][]float64 // slice l's piece (origin o, dest x) at (l*q + x)*q + o; nil when not held
+	stage      stage
 }
 
 // NewAllToAll prepares an all-to-all personalized exchange; blocks are
@@ -35,24 +32,31 @@ func (c Comm) NewAllToAll(phase uint64, blocks []*matrix.Dense) *AllToAllOp {
 		panic(fmt.Sprintf("collective: AllToAll has %d blocks want %d", len(blocks), c.q))
 	}
 	rows, cols := checkUniform("AllToAll", blocks)
-	op := &AllToAllOp{c: c, phase: phase, rows: rows, cols: cols, w: rows * cols}
-	op.held = make([]map[pieceKey][]float64, c.g)
-	for l := range op.held {
-		op.held[l] = make(map[pieceKey][]float64, c.q)
+	op := &AllToAllOp{c: c, phase: phase, rows: rows, cols: cols, w: rows * cols, held: make([][]float64, c.g*c.q*c.q)}
+	for l := 0; l < c.g; l++ {
 		lo, hi := sliceBounds(op.w, c.g, l)
 		for pos, b := range blocks {
-			op.held[l][pieceKey{c.rank, hypercube.Gray(pos)}] = b.Data[lo:hi:hi]
+			op.held[op.at(l, c.rank, hypercube.Gray(pos))] = b.Data[lo:hi:hi]
 		}
+	}
+	if c.q > 2 {
+		// Every step sends q/2 pieces of every slice; a lone piece
+		// (q = 2) goes out shared.
+		op.stage = make(stage, c.d*c.q/2*op.w)
 	}
 	return op
 }
 
+// at indexes slice l's piece from origin to dest.
+func (op *AllToAllOp) at(l, origin, dest int) int { return (l*op.c.q+dest)*op.c.q + origin }
+
 // Steps implements Op.
 func (op *AllToAllOp) Steps() int { return op.c.d }
 
-// SendStep implements Op.
+// SendStep implements Op. The pieces go out in (dest, origin) order.
 func (op *AllToAllOp) SendStep(s int) {
 	op.c.check()
+	q := op.c.q
 	for l := 0; l < op.c.g; l++ {
 		lo, hi := sliceBounds(op.w, op.c.g, l)
 		if lo == hi {
@@ -60,16 +64,26 @@ func (op *AllToAllOp) SendStep(s int) {
 		}
 		b := op.c.bit(l, s)
 		myBit := op.c.rank & (1 << b)
-		keys := make([]pieceKey, 0, len(op.held[l])/2)
-		for k := range op.held[l] {
-			if k.dest&(1<<b) != myBit {
-				keys = append(keys, k)
-			}
+		var buf []float64
+		if q > 2 {
+			buf = op.stage.take((hi - lo) * q / 2)
 		}
-		sortKeys(keys)
-		buf := payload(len(keys), hi-lo, func(i int) []float64 { return op.held[l][keys[i]] })
-		for _, k := range keys {
-			delete(op.held[l], k)
+		for x := 0; x < q; x++ {
+			if x&(1<<b) == myBit {
+				continue
+			}
+			held := op.held[op.at(l, 0, x):op.at(l, q, x)]
+			for o, piece := range held {
+				if piece == nil {
+					continue
+				}
+				if q > 2 {
+					buf = append(buf, piece...)
+				} else {
+					buf = piece
+				}
+				held[o] = nil
+			}
 		}
 		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
@@ -77,6 +91,7 @@ func (op *AllToAllOp) SendStep(s int) {
 
 // RecvStep implements Op.
 func (op *AllToAllOp) RecvStep(s int) {
+	q := op.c.q
 	for l := 0; l < op.c.g; l++ {
 		lo, hi := sliceBounds(op.w, op.c.g, l)
 		if lo == hi {
@@ -88,33 +103,23 @@ func (op *AllToAllOp) RecvStep(s int) {
 		// Incoming pieces: destinations agree with us on the processed
 		// bits and on bit b; origins agree with the partner off the
 		// processed bits. Both sides enumerate in (dest, origin) order.
-		dests := subsets(op.c.rank, op.c.futureBits(l, s))
-		origins := subsets(partnerRank, op.c.pastBits(l, s))
+		future, past := op.c.futureBits(l, s), op.c.pastBits(l, s)
 		sz := hi - lo
-		if len(msg.Data) != len(dests)*len(origins)*sz {
-			panic(fmt.Sprintf("collective: AllToAll slice %d got %d words want %d", l, len(msg.Data), len(dests)*len(origins)*sz))
+		if want := q / 2 * sz; len(msg.Data) != want {
+			panic(fmt.Sprintf("collective: AllToAll slice %d got %d words want %d", l, len(msg.Data), want))
 		}
 		i := 0
-		for _, x := range dests {
-			for _, o := range origins {
-				op.held[l][pieceKey{o, x}] = msg.Data[i*sz : (i+1)*sz]
-				i++
+		for x := 0; x < q; x++ {
+			if !within(x, op.c.rank, future) {
+				continue
+			}
+			for o := 0; o < q; o++ {
+				if within(o, partnerRank, past) {
+					op.held[op.at(l, o, x)] = msg.Data[i*sz : (i+1)*sz]
+					i++
+				}
 			}
 		}
-	}
-}
-
-// sortKeys orders piece keys by (dest, origin) ascending, matching the
-// receiver's enumeration order.
-func sortKeys(a []pieceKey) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && (a[j].dest > v.dest || (a[j].dest == v.dest && a[j].origin > v.origin)) {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
 	}
 }
 
@@ -124,8 +129,8 @@ func sortKeys(a []pieceKey) {
 // copies.
 func (op *AllToAllOp) Result() []*matrix.Dense {
 	return op.c.blocks(op.c.q, op.rows, op.cols, func(pos, l int) []float64 {
-		piece, ok := op.held[l][pieceKey{hypercube.Gray(pos), op.c.rank}]
-		if !ok {
+		piece := op.held[op.at(l, hypercube.Gray(pos), op.c.rank)]
+		if piece == nil {
 			panic(fmt.Sprintf("collective: AllToAll missing piece origin=%d slice=%d", pos, l))
 		}
 		return piece

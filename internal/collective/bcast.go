@@ -22,7 +22,7 @@ type BcastOp struct {
 	rows, cols int
 	w          int
 	data       []float64
-	recvStep   []int // per slice: step at which this node receives (-1 if root)
+	blk        matrix.Dense // the result header
 }
 
 // NewBcast prepares a broadcast. Every participant must pass the block
@@ -41,30 +41,7 @@ func (c Comm) NewBcast(phase uint64, rootPos, rows, cols int, blk *matrix.Dense)
 	} else {
 		op.data = make([]float64, op.w)
 	}
-	op.recvStep = make([]int, op.c.g)
-	for l := range op.recvStep {
-		op.recvStep[l] = op.relRecvStep(l)
-	}
 	return op
-}
-
-// relRecvStep returns the step at which this node first holds slice l:
-// the largest order-position among the set bits of rel (-1 for the root).
-func (op *BcastOp) relRecvStep(l int) int {
-	if op.rel == 0 {
-		return -1
-	}
-	step := -1
-	for b := 0; b < op.c.d; b++ {
-		if op.rel&(1<<b) != 0 {
-			// position of chain bit b in slice l's rotated order
-			s := (b - l + op.c.d) % op.c.d
-			if s > step {
-				step = s
-			}
-		}
-	}
-	return step
 }
 
 // Steps implements Op.
@@ -75,7 +52,7 @@ func (op *BcastOp) SendStep(s int) {
 	op.c.check()
 	for l := 0; l < op.c.g; l++ {
 		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.recvStep[l] >= s {
+		if lo == hi || relStepMax(op.rel, l, op.c.d) >= s {
 			continue // nothing to send, or not yet a holder
 		}
 		b := op.c.bit(l, s)
@@ -87,7 +64,7 @@ func (op *BcastOp) SendStep(s int) {
 func (op *BcastOp) RecvStep(s int) {
 	for l := 0; l < op.c.g; l++ {
 		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.recvStep[l] != s {
+		if lo == hi || relStepMax(op.rel, l, op.c.d) != s {
 			continue
 		}
 		b := op.c.bit(l, s)
@@ -102,7 +79,8 @@ func (op *BcastOp) RecvStep(s int) {
 
 // Result returns the broadcast block (valid after Run).
 func (op *BcastOp) Result() *matrix.Dense {
-	return matrix.FromSlice(op.rows, op.cols, op.data)
+	op.blk = matrix.Dense{Rows: op.rows, Cols: op.cols, Data: op.data}
+	return &op.blk
 }
 
 // Bcast runs a one-to-all broadcast and returns the block on every node.

@@ -384,14 +384,26 @@ func TestCommAccessors(t *testing.T) {
 	})
 }
 
+// TestSubsetsSorted: ranging upward with within enumerates the subset
+// cube base XOR span(mask) in ascending order, the order pieces are
+// packed in.
 func TestSubsetsSorted(t *testing.T) {
-	got := subsets(0b100, []int{0, 1})
+	subsets := func(base, mask int) []int {
+		var out []int
+		for r := 0; r < 8; r++ {
+			if within(r, base, mask) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	got := subsets(0b110, 0b011)
 	want := []int{0b100, 0b101, 0b110, 0b111}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("subsets = %v, want %v", got, want)
 	}
-	if len(subsets(5, nil)) != 1 {
-		t.Error("subsets with no bits should be singleton")
+	if got := subsets(5, 0); fmt.Sprint(got) != "[5]" {
+		t.Errorf("subsets with no bits = %v, want [5]", got)
 	}
 }
 

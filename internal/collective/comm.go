@@ -101,31 +101,39 @@ func sliceBounds(w, g, l int) (lo, hi int) {
 	return l * w / g, (l + 1) * w / g
 }
 
-// subsets returns, in ascending order, every rank of the form
-// base XOR (subset of the given chain bits).
-func subsets(base int, bits []int) []int {
-	out := make([]int, 0, 1<<len(bits))
-	out = append(out, base)
-	for _, b := range bits {
-		for _, r := range out[:len(out):len(out)] {
-			out = append(out, r^(1<<b))
-		}
+// bits returns the mask of the chain bits slice l uses at steps
+// from .. to-1.
+func (c Comm) bits(l, from, to int) int {
+	m := 0
+	for t := from; t < to; t++ {
+		m |= 1 << c.bit(l, t)
 	}
-	sortInts(out)
-	return out
+	return m
 }
 
-func sortInts(a []int) {
-	// insertion sort: these slices are short (<= chain length).
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
+// pastBits returns the mask of the chain bits slice l used at steps
+// 0 .. s-1.
+func (c Comm) pastBits(l, s int) int { return c.bits(l, 0, s) }
+
+// futureBits returns the mask of the chain bits slice l uses at steps
+// s+1 .. d-1.
+func (c Comm) futureBits(l, s int) int { return c.bits(l, s+1, c.d) }
+
+// within reports whether rank r is base XOR some subset of the bits in
+// mask. Ranging r upward over the chain with it enumerates that subset
+// cube in ascending order, the order every piece sequence is packed in.
+func within(r, base, mask int) bool { return (r^base)&^mask == 0 }
+
+// stage carves the send buffers one op assembles over all its steps out
+// of one allocation. Receivers keep what they are sent, so a buffer is
+// never reused; one allocation per op replaces one per send.
+type stage []float64
+
+// take returns an empty buffer with room for n words.
+func (st *stage) take(n int) []float64 {
+	buf := (*st)[:0:n]
+	*st = (*st)[n:]
+	return buf
 }
 
 // Op is a collective compiled to a lockstep step machine. At each step
@@ -160,22 +168,6 @@ func Run(ops ...Op) {
 			}
 		}
 	}
-}
-
-// payload returns held pieces piece(0..n-1), sz words each, as one
-// send payload the network takes without a transport copy. Held pieces
-// are read-only (the caller's blocks or received payload), so a lone
-// piece goes out shared; several are assembled into a fresh buffer.
-// Only for receivers that never write what they receive.
-func payload(n, sz int, piece func(i int) []float64) []float64 {
-	if n == 1 {
-		return piece(0)
-	}
-	buf := make([]float64, 0, n*sz)
-	for i := 0; i < n; i++ {
-		buf = append(buf, piece(i)...)
-	}
-	return buf
 }
 
 // blocks returns count rows x cols blocks whose slice l is piece(i, l).

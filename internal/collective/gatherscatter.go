@@ -18,8 +18,8 @@ type ScatterOp struct {
 	rel        int
 	rows, cols int
 	w          int
-	held       []map[int][]float64 // per slice: relative dest rank -> slice words
-	recvStep   []int
+	held       [][]float64 // slice l's piece for relative dest rank x at l*q + x; nil when not held
+	stage      stage
 }
 
 // NewScatter prepares a scatter. Every participant passes the piece
@@ -30,10 +30,7 @@ func (c Comm) NewScatter(phase uint64, rootPos, rows, cols int, blocks []*matrix
 		c: c, phase: phase, rel: c.rank ^ rootRank,
 		rows: rows, cols: cols, w: rows * cols,
 	}
-	op.held = make([]map[int][]float64, c.g)
-	for l := range op.held {
-		op.held[l] = make(map[int][]float64)
-	}
+	op.held = make([][]float64, c.g*c.q)
 	if op.rel == 0 {
 		if len(blocks) != c.q {
 			panic(fmt.Sprintf("collective: Scatter root has %d blocks want %d", len(blocks), c.q))
@@ -45,14 +42,19 @@ func (c Comm) NewScatter(phase uint64, rootPos, rows, cols int, blocks []*matrix
 			xrel := hypercube.Gray(pos) ^ rootRank
 			for l := 0; l < c.g; l++ {
 				lo, hi := sliceBounds(op.w, c.g, l)
-				op.held[l][xrel] = b.Data[lo:hi]
+				op.held[l*c.q+xrel] = b.Data[lo:hi]
 			}
 		}
 	}
-	op.recvStep = make([]int, c.g)
-	for l := range op.recvStep {
-		op.recvStep[l] = relStepMax(op.rel, l, c.d)
+	// A node first holding slice l after step r forwards all but its
+	// own of the q/2^(r+1) pieces it then holds (the root, r = -1, all
+	// but one of q).
+	words := 0
+	for l := 0; l < c.g; l++ {
+		lo, hi := sliceBounds(op.w, c.g, l)
+		words += (hi - lo) * (c.q>>(relStepMax(op.rel, l, c.d)+1) - 1)
 	}
+	op.stage = make(stage, words)
 	return op
 }
 
@@ -86,24 +88,6 @@ func relStepMin(rel, l, d int) int {
 	return step
 }
 
-// futureBits returns the chain bits slice l uses at steps s+1 .. d-1.
-func (c Comm) futureBits(l, s int) []int {
-	bits := make([]int, 0, c.d-s-1)
-	for t := s + 1; t < c.d; t++ {
-		bits = append(bits, c.bit(l, t))
-	}
-	return bits
-}
-
-// pastBits returns the chain bits slice l used at steps 0 .. s-1.
-func (c Comm) pastBits(l, s int) []int {
-	bits := make([]int, 0, s)
-	for t := 0; t < s; t++ {
-		bits = append(bits, c.bit(l, t))
-	}
-	return bits
-}
-
 // Steps implements Op.
 func (op *ScatterOp) Steps() int { return op.c.d }
 
@@ -112,21 +96,18 @@ func (op *ScatterOp) SendStep(s int) {
 	op.c.check()
 	for l := 0; l < op.c.g; l++ {
 		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.recvStep[l] >= s {
+		if lo == hi || relStepMax(op.rel, l, op.c.d) >= s {
 			continue
 		}
+		// Half the 2^(d-s) held pieces go: those across bit b.
 		b := op.c.bit(l, s)
-		keys := make([]int, 0, len(op.held[l]))
-		for x := range op.held[l] {
-			if x&(1<<b) != 0 {
-				keys = append(keys, x)
+		held := op.held[l*op.c.q : (l+1)*op.c.q]
+		buf := op.stage.take((hi - lo) * op.c.q >> (s + 1))
+		for x, piece := range held {
+			if piece != nil && x&(1<<b) != 0 {
+				buf = append(buf, piece...)
+				held[x] = nil
 			}
-		}
-		sortInts(keys)
-		buf := make([]float64, 0, len(keys)*(hi-lo))
-		for _, x := range keys {
-			buf = append(buf, op.held[l][x]...)
-			delete(op.held[l], x)
 		}
 		// buf is freshly assembled and never touched again: hand the
 		// slice to the network instead of paying a transport copy.
@@ -138,18 +119,25 @@ func (op *ScatterOp) SendStep(s int) {
 func (op *ScatterOp) RecvStep(s int) {
 	for l := 0; l < op.c.g; l++ {
 		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.recvStep[l] != s {
+		if lo == hi || relStepMax(op.rel, l, op.c.d) != s {
 			continue
 		}
 		b := op.c.bit(l, s)
 		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		incoming := subsets(op.rel, op.c.futureBits(l, s))
 		sz := hi - lo
-		if len(msg.Data) != len(incoming)*sz {
-			panic(fmt.Sprintf("collective: Scatter slice %d got %d words want %d", l, len(msg.Data), len(incoming)*sz))
+		if want := sz * op.c.q >> (s + 1); len(msg.Data) != want {
+			panic(fmt.Sprintf("collective: Scatter slice %d got %d words want %d", l, len(msg.Data), want))
 		}
-		for i, x := range incoming {
-			op.held[l][x] = msg.Data[i*sz : (i+1)*sz]
+		// The pieces are those of this node's future-bits cube, in
+		// ascending relative rank.
+		future := op.c.futureBits(l, s)
+		held := op.held[l*op.c.q : (l+1)*op.c.q]
+		i := 0
+		for x := range held {
+			if within(x, op.rel, future) {
+				held[x] = msg.Data[i*sz : (i+1)*sz]
+				i++
+			}
 		}
 	}
 }
@@ -162,8 +150,8 @@ func (op *ScatterOp) Result() *matrix.Dense {
 		if lo == hi {
 			continue
 		}
-		piece, ok := op.held[l][op.rel]
-		if !ok {
+		piece := op.held[l*op.c.q+op.rel]
+		if piece == nil {
 			panic(fmt.Sprintf("collective: Scatter missing own slice %d", l))
 		}
 		copy(out.Data[lo:hi], piece)
@@ -191,8 +179,8 @@ type GatherOp struct {
 	rootRank   int
 	rows, cols int
 	w          int
-	held       []map[int][]float64 // per slice: relative origin rank -> slice words
-	sendStep   []int
+	held       [][]float64 // slice l's piece from relative origin rank x at l*q + x; nil when not held
+	stage      stage
 }
 
 // NewGather prepares a gather of blk toward rootPos.
@@ -202,13 +190,18 @@ func (c Comm) NewGather(phase uint64, rootPos int, blk *matrix.Dense) *GatherOp 
 		c: c, phase: phase, rel: c.rank ^ rootRank, rootRank: rootRank,
 		rows: blk.Rows, cols: blk.Cols, w: blk.Rows * blk.Cols,
 	}
-	op.held = make([]map[int][]float64, c.g)
-	op.sendStep = make([]int, c.g)
-	for l := range op.held {
+	op.held = make([][]float64, c.g*c.q)
+	words := 0
+	for l := 0; l < c.g; l++ {
 		lo, hi := sliceBounds(op.w, c.g, l)
-		op.held[l] = map[int][]float64{op.rel: blk.Data[lo:hi]}
-		op.sendStep[l] = relStepMin(op.rel, l, c.d)
+		op.held[l*c.q+op.rel] = blk.Data[lo:hi]
+		// Slice l goes once, at step s = relStepMin, as the 2^s pieces
+		// then held; the root never sends.
+		if s := relStepMin(op.rel, l, c.d); s < c.d {
+			words += (hi - lo) << s
+		}
 	}
+	op.stage = make(stage, words)
 	return op
 }
 
@@ -220,20 +213,16 @@ func (op *GatherOp) SendStep(s int) {
 	op.c.check()
 	for l := 0; l < op.c.g; l++ {
 		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.sendStep[l] != s {
+		if lo == hi || relStepMin(op.rel, l, op.c.d) != s {
 			continue
 		}
 		b := op.c.bit(l, s)
-		keys := make([]int, 0, len(op.held[l]))
-		for x := range op.held[l] {
-			keys = append(keys, x)
+		held := op.held[l*op.c.q : (l+1)*op.c.q]
+		buf := op.stage.take((hi - lo) << s)
+		for x, piece := range held {
+			buf = append(buf, piece...)
+			held[x] = nil
 		}
-		sortInts(keys)
-		buf := make([]float64, 0, len(keys)*(hi-lo))
-		for _, x := range keys {
-			buf = append(buf, op.held[l][x]...)
-		}
-		op.held[l] = nil
 		// buf is freshly assembled and never touched again: hand the
 		// slice to the network instead of paying a transport copy.
 		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
@@ -244,19 +233,26 @@ func (op *GatherOp) SendStep(s int) {
 func (op *GatherOp) RecvStep(s int) {
 	for l := 0; l < op.c.g; l++ {
 		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.sendStep[l] <= s {
+		if lo == hi || relStepMin(op.rel, l, op.c.d) <= s {
 			continue
 		}
 		b := op.c.bit(l, s)
 		prel := op.rel ^ (1 << b)
 		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		incoming := subsets(prel, op.c.pastBits(l, s))
 		sz := hi - lo
-		if len(msg.Data) != len(incoming)*sz {
-			panic(fmt.Sprintf("collective: Gather slice %d got %d words want %d", l, len(msg.Data), len(incoming)*sz))
+		if len(msg.Data) != sz<<s {
+			panic(fmt.Sprintf("collective: Gather slice %d got %d words want %d", l, len(msg.Data), sz<<s))
 		}
-		for i, x := range incoming {
-			op.held[l][x] = msg.Data[i*sz : (i+1)*sz]
+		// The pieces are those of the partner's past-bits cube, in
+		// ascending relative rank.
+		past := op.c.pastBits(l, s)
+		held := op.held[l*op.c.q : (l+1)*op.c.q]
+		i := 0
+		for x := range held {
+			if within(x, prel, past) {
+				held[x] = msg.Data[i*sz : (i+1)*sz]
+				i++
+			}
 		}
 	}
 }
@@ -276,8 +272,8 @@ func (op *GatherOp) Result() []*matrix.Dense {
 			if lo == hi {
 				continue
 			}
-			piece, ok := op.held[l][xrel]
-			if !ok {
+			piece := op.held[l*op.c.q+xrel]
+			if piece == nil {
 				panic(fmt.Sprintf("collective: Gather missing piece pos=%d slice=%d", pos, l))
 			}
 			copy(blk.Data[lo:hi], piece)

@@ -165,6 +165,14 @@ func putPackBuf(p *[]float64) { packPool.Put(p) }
 
 // --- dispatch ---------------------------------------------------------
 
+// Packs reports whether MulAdd multiplies an n x k by k x m product on
+// the packing path: n*k*m >= packMinWork, the size from which a
+// product costs enough to pay for packing (and, to a caller, for
+// moving it to another goroutine).
+func Packs(n, k, m int) bool {
+	return n > 0 && k > 0 && m > 0 && n*k >= packMinWork/m // no overflow risk
+}
+
 // mulAddKernel is the MulAdd implementation behind the shape checks:
 // c += a*B, where B is the a.Cols x c.Cols matrix whose row kk starts
 // at bd[kk*ldb] — all of b for MulAdd, a column window for MulAddCols.
@@ -173,7 +181,7 @@ func mulAddKernel(c, a *Dense, bd []float64, ldb int) {
 	if n == 0 || k == 0 || m == 0 {
 		return
 	}
-	if n*k < packMinWork/m { // n*k*m < packMinWork without overflow risk
+	if !Packs(n, k, m) {
 		mulAddTiled(c, a, bd, ldb, 0, n)
 		return
 	}

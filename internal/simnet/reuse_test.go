@@ -61,14 +61,12 @@ func TestReuseAfterFault(t *testing.T) {
 }
 
 // TestPoolBalanceAfterFaultedRun is the leak regression for the
-// abort/error path: a run that dies mid-collective leaves messages
-// parked in inboxes and pending queues, and RunErr must return their
-// pooled buffers. The program sends messages that are never received
-// (remote, self-delivered, and possibly blocked on back-pressure) and
-// then fails; the in-flight pool counters must come back to where they
-// started.
+// abort/error path: a run that dies mid-collective leaves messages in
+// pending queues, and RunErr must return their buffers to the free
+// list. The program sends messages that are never received (remote and
+// self-delivered) and then fails; every buffer handed out must come
+// back.
 func TestPoolBalanceAfterFaultedRun(t *testing.T) {
-	p0, m0 := PoolInFlight()
 	m := mach(4, OnePort, 1, 1, 0)
 	_, err := m.RunErr(func(n *Node) {
 		if n.ID == 0 {
@@ -87,9 +85,8 @@ func TestPoolBalanceAfterFaultedRun(t *testing.T) {
 	if !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("got %v, want ErrLinkDown", err)
 	}
-	p1, m1 := PoolInFlight()
-	if p1 != p0 || m1 != m0 {
-		t.Fatalf("pooled buffers leaked across faulted run: payloads %d -> %d, msgs %d -> %d", p0, p1, m0, m1)
+	if out := m.unreleased; out != 0 {
+		t.Fatalf("%d payload buffers leaked across a faulted run", out)
 	}
 }
 
@@ -97,7 +94,6 @@ func TestPoolBalanceAfterFaultedRun(t *testing.T) {
 // both the retries-exhausted ErrLinkDown panic and the released payload
 // of every lost attempt must leave the pool balanced.
 func TestPoolBalanceAfterLinkDownSend(t *testing.T) {
-	p0, m0 := PoolInFlight()
 	m := NewMachine(Config{
 		P: 2, Ts: 1, Tw: 1,
 		Faults: &FaultPlan{Seed: 3, Down: []Window{{Src: 0, Dst: 1, From: 0, To: 1e18}}, MaxRetries: 2},
@@ -113,17 +109,15 @@ func TestPoolBalanceAfterLinkDownSend(t *testing.T) {
 	if !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("got %v, want ErrLinkDown", err)
 	}
-	p1, m1 := PoolInFlight()
-	if p1 != p0 || m1 != m0 {
-		t.Fatalf("pooled buffers leaked on link-down send: payloads %d -> %d, msgs %d -> %d", p0, p1, m0, m1)
+	if out := m.unreleased; out != 0 {
+		t.Fatalf("%d payload buffers leaked on a link-down send", out)
 	}
 }
 
 // TestPoolBalanceAfterDeadline covers the deadline fault paths: a send
-// that trips the deadline after its payload box was checked out must
-// hand the box back before raising the fault.
+// that trips the deadline after its payload buffer was taken from the
+// free list must hand the buffer back before raising the fault.
 func TestPoolBalanceAfterDeadline(t *testing.T) {
-	p0, m0 := PoolInFlight()
 	m := NewMachine(Config{P: 2, Ts: 100, Tw: 1, Deadline: 50})
 	_, err := m.RunErr(func(n *Node) {
 		if n.ID == 0 {
@@ -138,21 +132,17 @@ func TestPoolBalanceAfterDeadline(t *testing.T) {
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("got %v, want ErrDeadline", err)
 	}
-	p1, m1 := PoolInFlight()
-	if p1 != p0 || m1 != m0 {
-		t.Fatalf("pooled buffers leaked on deadline: payloads %d -> %d, msgs %d -> %d", p0, p1, m0, m1)
+	if out := m.unreleased; out != 0 {
+		t.Fatalf("%d payload buffers leaked on a deadline", out)
 	}
 }
 
 // TestPoolBalanceCleanRun: a program whose receivers release everything
-// they consume leaves the counters exactly balanced on the success path
-// too (reset releases any message a program legally abandoned).
+// they consume returns every payload buffer on the success path too.
 func TestPoolBalanceCleanRun(t *testing.T) {
-	p0, m0 := PoolInFlight()
 	m := mach(8, MultiPort, 5, 1, 0)
 	m.Run(exerciser(1))
-	p1, m1 := PoolInFlight()
-	if p1 != p0 || m1 != m0 {
-		t.Fatalf("pooled buffers leaked on clean run: payloads %d -> %d, msgs %d -> %d", p0, p1, m0, m1)
+	if out := m.unreleased; out != 0 {
+		t.Fatalf("%d payload buffers leaked on a clean run", out)
 	}
 }
