@@ -46,12 +46,18 @@ func (m *CalibratedModel) costModel() *cost.CalibratedModel {
 // if the algorithm is inapplicable (the analytic Table 3 conditions are
 // unchanged by calibration).
 func (m *CalibratedModel) CommTime(alg Algorithm, n, p, ts, tw float64, ports PortModel) (float64, bool) {
+	if !ports.valid() {
+		return 0, false
+	}
 	return m.costModel().Time(cost.Alg(alg), n, p, ts, tw, ports.internal())
 }
 
 // TotalTime is the calibrated communication time plus the perfectly
 // parallel computation time 2 n^3 t_c / p.
 func (m *CalibratedModel) TotalTime(alg Algorithm, n, p, ts, tw, tc float64, ports PortModel) (float64, bool) {
+	if !ports.valid() {
+		return 0, false
+	}
 	return m.costModel().TotalTime(cost.Alg(alg), n, p, ts, tw, tc, ports.internal())
 }
 
@@ -59,6 +65,9 @@ func (m *CalibratedModel) TotalTime(alg Algorithm, n, p, ts, tw, tc float64, por
 // communication time at (n, p) over the same candidate set as
 // hypermm.BestAlgorithm, or ok=false if none applies.
 func (m *CalibratedModel) BestAlgorithm(n, p, ts, tw float64, ports PortModel) (Algorithm, bool) {
+	if !ports.valid() {
+		return 0, false
+	}
 	pm := ports.internal()
 	best, ok := m.costModel().Best(n, p, ts, tw, pm, cost.DefaultCandidates(pm))
 	return Algorithm(best), ok

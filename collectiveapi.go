@@ -55,12 +55,14 @@ func (c Collective) internal() cost.Collective {
 
 // CollectiveCost returns Table 1's optimal cost coefficients (a, b) —
 // time = t_s*a + t_w*b — for the pattern on an N-processor hypercube
-// with M-word messages. The multi-port figures assume M >= log N.
+// with M-word messages. The multi-port figures assume M >= log N. It
+// has no ok result: it panics on an out-of-range Collective or
+// PortModel.
 func CollectiveCost(c Collective, N, M float64, ports PortModel) (a, b float64) {
 	return cost.CollectiveCost(c.internal(), N, M, ports.internal())
 }
 
-// MeasuredCollective runs the pattern on the channel-level emulator
+// MeasuredCollective runs the pattern on the message-level emulator
 // (N-node subcube, M-word messages) with (t_s, t_w) = (1, 0) and (0, 1)
 // and returns the measured coefficients — the empirical counterpart of
 // CollectiveCost.

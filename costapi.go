@@ -18,19 +18,29 @@ func Applicable(alg Algorithm, n, p float64) bool {
 
 // Overhead returns Table 2's communication-overhead coefficients
 // (a, b), where communication time is t_s*a + t_w*b; ok is false if the
-// algorithm is inapplicable at (n, p).
+// algorithm is inapplicable at (n, p), or if alg or ports is out of
+// range — as for every cost-model function here that returns ok.
 func Overhead(alg Algorithm, n, p float64, ports PortModel) (a, b float64, ok bool) {
+	if !ports.valid() {
+		return 0, 0, false
+	}
 	return cost.Overhead(cost.Alg(alg), n, p, ports.internal())
 }
 
 // CommTime evaluates the analytic communication time t_s*a + t_w*b.
 func CommTime(alg Algorithm, n, p, ts, tw float64, ports PortModel) (float64, bool) {
+	if !ports.valid() {
+		return 0, false
+	}
 	return cost.Time(cost.Alg(alg), n, p, ts, tw, ports.internal())
 }
 
 // TotalTime is the analytic communication time plus the perfectly
 // parallel computation time 2 n^3 t_c / p.
 func TotalTime(alg Algorithm, n, p, ts, tw, tc float64, ports PortModel) (float64, bool) {
+	if !ports.valid() {
+		return 0, false
+	}
 	return cost.TotalTime(cost.Alg(alg), n, p, ts, tw, tc, ports.internal())
 }
 
@@ -80,6 +90,9 @@ func BestAlgorithm(n, p, ts, tw float64, ports PortModel) (Algorithm, bool) {
 // Efficiency returns the analytic parallel efficiency
 // E = 2 n^3 t_c / (p * T_total) at (n, p).
 func Efficiency(alg Algorithm, n, p, ts, tw, tc float64, ports PortModel) (float64, bool) {
+	if !ports.valid() {
+		return 0, false
+	}
 	return cost.Efficiency(cost.Alg(alg), n, p, ts, tw, tc, ports.internal())
 }
 
@@ -88,6 +101,9 @@ func Efficiency(alg Algorithm, n, p, ts, tw, tc float64, ports PortModel) (float
 // (the paper's reference [5]). Lower growth with p means a more
 // scalable algorithm.
 func IsoefficiencyN(alg Algorithm, p, target, ts, tw, tc float64, ports PortModel) (float64, bool) {
+	if !ports.valid() {
+		return 0, false
+	}
 	return cost.IsoefficiencyN(cost.Alg(alg), p, target, ts, tw, tc, ports.internal())
 }
 

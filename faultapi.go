@@ -36,7 +36,7 @@ var Forever = math.Inf(1)
 // protocol the emulator switches to while a plan is active. The same
 // (algorithm, config, seed, plan) always produces the same simulated
 // clocks, counters and verdict — fault injection never depends on
-// goroutine scheduling.
+// execution order.
 //
 // An empty plan (no drop/dup/delay probability, no windows) is inert:
 // the machine stays byte-for-byte on its fault-free path, so the

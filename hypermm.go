@@ -7,11 +7,11 @@
 //     3-D All (ThreeAll) algorithms — together with their stepping
 //     stones (TwoDiag, AllTrans) and every baseline the paper compares
 //     against (Simple, Cannon, Ho-Johnsson-Edelman, Berntsen, DNS),
-//     all runnable on a simulated hypercube multicomputer built from
-//     goroutines and channels (one goroutine per processor, one
-//     buffered channel per link) with a deterministic logical clock
-//     that charges the paper's t_s + t_w*m communication model under
-//     either the one-port or the multi-port machine model;
+//     all runnable on a simulated hypercube multicomputer (every
+//     processor's program a coroutine on one executor, every message
+//     real data delivered to its receiver) with a deterministic
+//     logical clock that charges the paper's t_s + t_w*m communication
+//     model under either the one-port or the multi-port machine model;
 //   - the paper's analytic cost model: Table 1 collective costs,
 //     Table 2 per-algorithm communication overheads, Table 3 space and
 //     applicability, and the region maps of Figures 13-14.
@@ -49,6 +49,10 @@ const (
 
 // String implements fmt.Stringer.
 func (pm PortModel) String() string { return simnet.PortModel(pm).String() }
+
+// valid reports whether pm is OnePort or MultiPort. The cost-model
+// entry points that return ok answer ok=false for any other value.
+func (pm PortModel) valid() bool { return pm == OnePort || pm == MultiPort }
 
 func (pm PortModel) internal() simnet.PortModel {
 	switch pm {

@@ -131,8 +131,10 @@ func runEntryPoints(pool *MachinePool, alg Algorithm, cfg Config, A *Matrix) map
 }
 
 // TestOutOfRangePortModel: a port model that is neither OnePort nor
-// MultiPort prints as a placeholder and every run entry point returns
-// an error for it, before any machine is built or checked out.
+// MultiPort prints as a placeholder, every cost-model function with an
+// ok result answers ok=false (CollectiveCost, which has none, panics),
+// and every run entry point returns an error for it, before any machine
+// is built or checked out.
 func TestOutOfRangePortModel(t *testing.T) {
 	A := RandomMatrix(8, 8, 1)
 	pool := NewMachinePool(1)
@@ -142,6 +144,30 @@ func TestOutOfRangePortModel(t *testing.T) {
 		if got := fmt.Sprintf("%v", pm); got != want {
 			t.Errorf("%%v = %q; want %q", got, want)
 		}
+		_, _, okO := Overhead(Cannon, 64, 16, pm)
+		_, okC := CommTime(Cannon, 64, 16, 150, 3, pm)
+		_, okT := TotalTime(Cannon, 64, 16, 150, 3, 0.5, pm)
+		best, okB := BestAlgorithm(64, 16, 150, 3, pm)
+		_, okE := Efficiency(Cannon, 64, 16, 150, 3, 0.5, pm)
+		_, okI := IsoefficiencyN(Cannon, 16, 0.5, 150, 3, 0.5, pm)
+		if okO || okC || okT || okB || best != 0 || okE || okI {
+			t.Errorf("%s: the cost model answered for an unknown port model", want)
+		}
+		var cm *CalibratedModel // the uncalibrated model ranks and times too
+		_, okCC := cm.CommTime(Cannon, 64, 16, 150, 3, pm)
+		_, okCT := cm.TotalTime(Cannon, 64, 16, 150, 3, 0.5, pm)
+		best, okCB := cm.BestAlgorithm(64, 16, 150, 3, pm)
+		if okCC || okCT || okCB || best != 0 {
+			t.Errorf("%s: the calibrated model answered for an unknown port model", want)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CollectiveCost(%s) did not panic", want)
+				}
+			}()
+			CollectiveCost(AllToAllBcast, 8, 8, pm)
+		}()
 		runs := runEntryPoints(pool, Cannon, Config{P: 4, Ports: pm}, A)
 		runs["MeasuredCollective"] = func() error { _, _, err := MeasuredCollective(AllToAllBcast, 4, 8, pm); return err }
 		for name, run := range runs {

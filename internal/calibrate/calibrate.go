@@ -1,5 +1,5 @@
 // Package calibrate closes the loop between the paper's analytic cost
-// model and the channel-level emulator: it runs deterministic
+// model and the message-level emulator: it runs deterministic
 // measurement sweeps over (algorithm, n, p) on the simulated hypercube,
 // fits effective (t_s, t_w) machine parameters and per-algorithm
 // residual correction factors to the measured simulated times by least

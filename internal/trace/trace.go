@@ -60,7 +60,8 @@ type Event struct {
 	Tag        uint64
 }
 
-// Log accumulates events from concurrently running node goroutines.
+// Log accumulates events from node programs; it is safe for
+// concurrent use.
 // The zero value is not usable; use New.
 type Log struct {
 	mu     sync.Mutex
