@@ -48,6 +48,8 @@ func CannonRun(nd *simnet.Node, rowCh, colCh hypercube.Chain, i, j, q int, a, b 
 	// Phase 2: sqrt(p)-step shift-multiply-add around the rings.
 	c := matrix.New(a.Rows, b.Cols)
 	nd.NoteWords(a.Words() + b.Words() + c.Words())
+	left, up := rowCh.NodeAt(((j-1)%q+q)%q), colCh.NodeAt(((i-1)%q+q)%q)
+	right, down := rowCh.NodeAt((j+1)%q), colCh.NodeAt((i+1)%q)
 	for t := 0; t < q; t++ {
 		nd.MulAdd(c, a, b)
 		if t == q-1 {
@@ -59,10 +61,10 @@ func CannonRun(nd *simnet.Node, rowCh, colCh hypercube.Chain, i, j, q int, a, b 
 		// disjoint); on a one-port machine they serialize. Each block
 		// is immediately replaced by the incoming one, so the shifts
 		// relay the payload without copying.
-		nd.SendMOwned(rowCh.NodeAt(((j-1)%q+q)%q), tg(t+1, 0), a)
-		nd.SendMOwned(colCh.NodeAt(((i-1)%q+q)%q), tg(t+1, 1), b)
-		a = nd.RecvM(rowCh.NodeAt((j+1)%q), tg(t+1, 0))
-		b = nd.RecvM(colCh.NodeAt((i+1)%q), tg(t+1, 1))
+		nd.SendMOwned(left, tg(t+1, 0), a)
+		nd.SendMOwned(up, tg(t+1, 1), b)
+		a = nd.RecvM(right, tg(t+1, 0))
+		b = nd.RecvM(down, tg(t+1, 1))
 	}
 	return c
 }
