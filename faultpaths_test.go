@@ -2,6 +2,10 @@ package hypermm_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"hypermm"
@@ -100,6 +104,47 @@ func TestRunDeadlineEveryAlgorithm(t *testing.T) {
 	}
 }
 
+// TestRunDeadlineErrorRepeats: a run whose nodes hand their products
+// off to other goroutines reports the same fault, word for word, however
+// those products' run times fall: run after run, with two runs in
+// flight at once, and on one processor.
+func TestRunDeadlineErrorRepeats(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	A := hypermm.RandomMatrix(128, 128, 1) // Cannon at P=4 multiplies 64^3 blocks, which hand off
+	cfg := hypermm.Config{P: 4, Tc: 1, Deadline: 1}
+	errText := func() string {
+		_, err := hypermm.Run(hypermm.Cannon, cfg, A, A)
+		if !errors.Is(err, hypermm.ErrDeadline) {
+			t.Errorf("got %v, want ErrDeadline", err)
+		}
+		return fmt.Sprint(err)
+	}
+	want := errText()
+	got := make(chan string, 40)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				got <- errText()
+			}
+		}()
+	}
+	for range 10 {
+		got <- errText()
+	}
+	wg.Wait()
+	runtime.GOMAXPROCS(1)
+	got <- errText()
+	close(got)
+	for e := range got {
+		if e != want {
+			t.Errorf("got %q, want %q", e, want)
+		}
+	}
+}
+
 // TestRunRejectsBadConfigs: config validation errors are plain errors,
 // not typed faults, and never produce a result.
 func TestRunRejectsBadConfigs(t *testing.T) {
@@ -109,6 +154,9 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		"p-not-pow2":        {P: 6, Ts: 1, Tw: 1},
 		"negative-ts":       {P: 4, Ts: -1, Tw: 1},
 		"negative-deadline": {P: 4, Ts: 1, Tw: 1, Deadline: -2},
+		"nan-tw":            {P: 4, Ts: 1, Tw: math.NaN()},
+		"nan-tc":            {P: 4, Ts: 1, Tw: 1, Tc: math.NaN()},
+		"nan-deadline":      {P: 4, Ts: 1, Tw: 1, Deadline: math.NaN()},
 	} {
 		res, err := hypermm.Run(hypermm.Cannon, cfg, A, A)
 		if err == nil {

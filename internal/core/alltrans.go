@@ -55,6 +55,6 @@ func AllTrans(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
 	// Phase 3: all-to-all reduction along y: send column group l of
 	// I_{k,i} toward y-position l; receive and sum the pieces for
 	// our own y-position, yielding C_{k,f(i,j)}.
-	pieces := sumColGroups(nd, aAll, bAll.RowGroups(q), q)
+	pieces := nd.MulSumCols(q, aAll, bAll.RowGroups(q))
 	return collective.On(nd, g.YChain(i, k)).ReduceScatter(4, pieces)
 }
