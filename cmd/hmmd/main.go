@@ -56,8 +56,8 @@
 // worker registrations and every non-trace job is sharded least-loaded
 // across them, with health probes, circuit breakers and mid-job
 // failover. With -role worker, the process registers at -join and
-// executes jobs for the coordinator through its own scheduler and warm
-// machine pool; its HTTP endpoints stay available for local inspection.
+// executes jobs for the coordinator through its own scheduler, each on a
+// fresh machine; its HTTP endpoints stay available for local inspection.
 //
 // SIGTERM or SIGINT begins a graceful shutdown: intake stops (503),
 // in-flight and queued jobs drain, then the process exits.
@@ -113,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		addr    = fs.String("addr", ":8080", "HTTP listen address")
 		workers = fs.Int("workers", 4, "scheduler worker pool size")
 		queue   = fs.Int("queue", 0, "scheduler queue depth (0: 2x workers)")
-		pool    = fs.Int("pool", 0, "warm machine pool capacity (0: 2x workers, negative: disable pooling)")
 		cache   = fs.Int("cache", 1024, "planner LRU cache entries")
 		maxN    = fs.Int("maxn", 1024, "largest accepted matrix size")
 		maxP    = fs.Int("maxp", 4096, "largest accepted machine size")
@@ -247,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 
 	srv, err := server.New(server.Config{
-		Workers: *workers, QueueDepth: *queue, PoolSize: *pool, CacheSize: *cache,
+		Workers: *workers, QueueDepth: *queue, CacheSize: *cache,
 		MaxN: *maxN, MaxP: *maxP, Calibration: profile, Cluster: coord, QoS: qosCfg,
 		TraceRing: *traceRing, Tracer: tracer, Log: logger, Pprof: *pprofOn,
 	})

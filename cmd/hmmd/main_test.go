@@ -129,10 +129,14 @@ func (lw lockedWriter) Write(p []byte) (int, error) {
 	return lw.w.Write(p)
 }
 
+// TestBadFlags: an unknown flag is a usage error (exit 2). -pool is
+// one: every job runs on a fresh machine, so there is no pool to size.
 func TestBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-bogus"}, &out, &out, nil); code != 2 {
-		t.Errorf("bad flag exit = %d, want 2", code)
+	for _, args := range [][]string{{"-bogus"}, {"-pool", "4"}} {
+		var out bytes.Buffer
+		if code := run(args, &out, &out, nil); code != 2 {
+			t.Errorf("%v exit = %d, want 2", args, code)
+		}
 	}
 }
 

@@ -119,13 +119,9 @@ func TestOutOfRangeAlgorithm(t *testing.T) {
 // A by itself with alg on cfg's machine and returning the error.
 func runEntryPoints(pool *MachinePool, alg Algorithm, cfg Config, A *Matrix) map[string]func() error {
 	return map[string]func() error{
-		"Run":       func() error { _, err := Run(alg, cfg, A, A); return err },
-		"RunTraced": func() error { _, _, err := RunTraced(alg, cfg, A, A); return err },
-		"RunOn":     func() error { _, err := pool.RunOn(alg, cfg, A, A); return err },
-		"RunOnTraced": func() error {
-			_, _, err := pool.RunOnTraced(alg, cfg, A, A)
-			return err
-		},
+		"Run":              func() error { _, err := Run(alg, cfg, A, A); return err },
+		"RunTraced":        func() error { _, _, err := RunTraced(alg, cfg, A, A); return err },
+		"RunOn":            func() error { _, err := pool.RunOn(alg, cfg, A, A); return err },
 		"MeasuredOverhead": func() error { _, _, err := MeasuredOverhead(alg, cfg.P, A.Rows, cfg.Ports); return err },
 	}
 }

@@ -72,11 +72,12 @@ func HJE(nd *simnet.Node, n int, a, b *matrix.Dense) *matrix.Dense {
 		base := hypercube.GrayStepBit(t) // transition Gray(t) -> Gray(t+1)
 		// Issue all 2*dd group exchanges; each uses a distinct
 		// physical dimension, so a multi-port node drives them all
-		// at once.
+		// at once. ColGroup and RowGroup return fresh copies, so they
+		// are sent owned.
 		for l := 0; l < dd; l++ {
 			bl := (base + l) % dd
-			nd.SendM(nd.ID^(1<<bl), tg(2, t, l), a.ColGroup(dd, l))
-			nd.SendM(nd.ID^(1<<(dd+bl)), tg(3, t, l), b.RowGroup(dd, l))
+			nd.SendMOwned(nd.ID^(1<<bl), tg(2, t, l), a.ColGroup(dd, l))
+			nd.SendMOwned(nd.ID^(1<<(dd+bl)), tg(3, t, l), b.RowGroup(dd, l))
 		}
 		for l := 0; l < dd; l++ {
 			bl := (base + l) % dd

@@ -2,8 +2,8 @@
 // processes: a coordinator accepts TCP connections from workers, routes
 // each job to the least-loaded healthy worker, and fails jobs over when
 // a worker dies mid-flight. Workers execute jobs with the unmodified
-// local machinery (scheduler + warm machine pool), so every result a
-// worker returns is byte-identical to a local hypermm.Run — the
+// local machinery (scheduler, a fresh machine per job), so every result
+// a worker returns is byte-identical to a local hypermm.Run — the
 // clusterequiv conformance oracle pins exactly that.
 //
 // The wire protocol is a small length-prefixed RPC framing. One frame:

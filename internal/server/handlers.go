@@ -29,12 +29,6 @@ type Config struct {
 	MaxN       int // largest accepted matrix size (default 1024)
 	MaxP       int // largest accepted machine size (default 4096)
 
-	// PoolSize bounds the warm machine pool: at most this many idle
-	// simulated machines are kept for reuse across requests (default
-	// 2 * Workers; negative disables pooling and every job builds a
-	// cold machine).
-	PoolSize int
-
 	// Calibration, when non-nil, is a validated measurement-fitted
 	// profile (internal/calibrate): the planner predicts with it, plans
 	// are marked calibrated, and GET /v1/calibration serves it.
@@ -89,9 +83,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxP < 1 {
 		c.MaxP = 4096
 	}
-	if c.PoolSize == 0 {
-		c.PoolSize = 2 * c.Workers
-	}
 	if c.TraceRing == 0 {
 		c.TraceRing = 256
 	}
@@ -101,14 +92,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server wires the planner, scheduler, machine pool and metrics behind
-// an HTTP API.
+// Server wires the planner, scheduler and metrics behind an HTTP API.
+// Every job it executes runs on a freshly built machine.
 type Server struct {
 	cfg     Config
 	planner *Planner
 	sched   *Scheduler
 	metrics *Metrics
-	pool    *hypermm.MachinePool // nil when pooling is disabled
 	cluster *cluster.Coordinator // nil when serving standalone
 	tracer  *obs.Tracer          // nil when request tracing is disabled
 	qosReg  *qos.Registry        // never nil; disabled without Config.QoS
@@ -130,18 +120,11 @@ func New(cfg Config) (*Server, error) {
 		planner.WithCalibration(model)
 		m.SetCalibrationLoaded(true)
 	}
-	var pool *hypermm.MachinePool
-	if cfg.PoolSize > 0 {
-		pool = hypermm.NewMachinePool(cfg.PoolSize)
-		pool.SetObserver(func(hit bool, wait time.Duration) {
-			m.StageObserve("pool_checkout", wait)
-		})
-	}
 	tracer := cfg.Tracer
 	if tracer == nil && cfg.TraceRing > 0 {
 		tracer = obs.NewTracer("hmmd", cfg.TraceRing)
 	}
-	sched := NewScheduler(cfg.Workers, cfg.QueueDepth, pool, m)
+	sched := NewScheduler(cfg.Workers, cfg.QueueDepth, m)
 	sched.cluster = cfg.Cluster
 	sched.tracer = tracer
 	if cfg.QoS != nil {
@@ -155,7 +138,6 @@ func New(cfg Config) (*Server, error) {
 		planner: planner,
 		sched:   sched,
 		metrics: m,
-		pool:    pool,
 		cluster: cfg.Cluster,
 		tracer:  tracer,
 		qosReg:  sched.reg,
@@ -215,25 +197,8 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 func (s *Server) Planner() *Planner { return s.planner }
 
 // Drain stops job intake and waits (bounded by ctx) for admitted jobs
-// to finish; /healthz reports draining and new jobs get 503. The warm
-// machine pool is closed afterwards (machines still checked out by
-// straggling jobs are closed as they come back).
-func (s *Server) Drain(ctx context.Context) error {
-	err := s.sched.Drain(ctx)
-	if s.pool != nil {
-		s.pool.Close()
-	}
-	return err
-}
-
-// PoolStats reports the warm machine pool's counters (zero when pooling
-// is disabled).
-func (s *Server) PoolStats() hypermm.PoolStats {
-	if s.pool == nil {
-		return hypermm.PoolStats{}
-	}
-	return s.pool.Stats()
-}
+// to finish; /healthz reports draining and new jobs get 503.
+func (s *Server) Drain(ctx context.Context) error { return s.sched.Drain(ctx) }
 
 // Handler returns the route mux.
 func (s *Server) Handler() http.Handler {
@@ -840,7 +805,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.qosReg.Enabled() {
 		qs = s.sched.QoSStats()
 	}
-	fmt.Fprint(w, s.metrics.Render(hits, misses, entries, s.PoolStats(), cl, qs))
+	fmt.Fprint(w, s.metrics.Render(hits, misses, entries, cl, qs))
 }
 
 func parsePortsDefault(s string) (hypermm.PortModel, error) {

@@ -311,15 +311,14 @@ func TestMetricsEndpointAndAdmissionControl(t *testing.T) {
 		"hmmd_sim_predicted_ratio_count 2",
 		"hmmd_job_latency_seconds_count 2",
 		"hmmd_plan_cache_hits_total",
-		// One worker ran both jobs back to back: the first builds the
-		// machine, the second reuses it warm.
-		"hmmd_machine_pool_misses_total 1",
-		"hmmd_machine_pool_hits_total 1",
-		"hmmd_machine_pool_size 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q\n%s", want, out)
 		}
+	}
+	// Both jobs ran on fresh machines: there is no machine pool to report.
+	if strings.Contains(out, "hmmd_machine_pool") {
+		t.Errorf("/metrics still exposes a machine-pool series\n%s", out)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"hypermm"
 	"hypermm/internal/cluster"
 	"hypermm/internal/qos"
 )
@@ -31,8 +30,8 @@ type Metrics struct {
 }
 
 // stageBuckets suit the per-stage breakdown: plan-cache lookups run in
-// microseconds, pool checkouts and queue waits in micro-to-milliseconds,
-// simulated runs and cluster dispatches up to seconds.
+// microseconds, queue waits in micro-to-milliseconds, simulated runs
+// and cluster dispatches up to seconds.
 var stageBuckets = []float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, .01, .05, .1, .5, 1, 5}
 
 // NewMetrics returns an empty registry.
@@ -50,7 +49,7 @@ func NewMetrics() *Metrics {
 }
 
 // StageObserve records one request's time in a named pipeline stage
-// ("handler", "plan", "admission", "queue", "pool_checkout", "run",
+// ("handler", "plan", "admission", "queue", "run",
 // "dispatch", ...) for the hmmd_stage_seconds histogram family — the
 // per-stage decomposition of job latency.
 func (m *Metrics) StageObserve(stage string, d time.Duration) {
@@ -138,12 +137,11 @@ func (m *Metrics) LatencyQuantile(q float64) float64 {
 }
 
 // Render writes the Prometheus text exposition. The cache counters
-// come from the planner, the machine-pool counters from the pool, the
-// cluster family from the coordinator (cl nil when serving standalone),
-// and the hmmd_qos_* family from the scheduler's tenant registry (qs
-// nil when no QoS policy is loaded), so the registry stays a passive
-// sink.
-func (m *Metrics) Render(cacheHits, cacheMisses, cacheEntries int64, pool hypermm.PoolStats, cl *cluster.Stats, qs []qos.TenantStats) string {
+// come from the planner, the cluster family from the coordinator (cl
+// nil when serving standalone), and the hmmd_qos_* family from the
+// scheduler's tenant registry (qs nil when no QoS policy is loaded), so
+// the registry stays a passive sink.
+func (m *Metrics) Render(cacheHits, cacheMisses, cacheEntries int64, cl *cluster.Stats, qs []qos.TenantStats) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var sb strings.Builder
@@ -167,10 +165,6 @@ func (m *Metrics) Render(cacheHits, cacheMisses, cacheEntries int64, pool hyperm
 	fmt.Fprintf(&sb, "# HELP hmmd_plan_cache_hits_total Planner LRU cache hits.\n# TYPE hmmd_plan_cache_hits_total counter\nhmmd_plan_cache_hits_total %d\n", cacheHits)
 	fmt.Fprintf(&sb, "# HELP hmmd_plan_cache_misses_total Planner LRU cache misses.\n# TYPE hmmd_plan_cache_misses_total counter\nhmmd_plan_cache_misses_total %d\n", cacheMisses)
 	fmt.Fprintf(&sb, "# HELP hmmd_plan_cache_entries Plans currently resident in the LRU cache.\n# TYPE hmmd_plan_cache_entries gauge\nhmmd_plan_cache_entries %d\n", cacheEntries)
-
-	fmt.Fprintf(&sb, "# HELP hmmd_machine_pool_hits_total Jobs served by a warm pooled machine.\n# TYPE hmmd_machine_pool_hits_total counter\nhmmd_machine_pool_hits_total %d\n", pool.Hits)
-	fmt.Fprintf(&sb, "# HELP hmmd_machine_pool_misses_total Jobs that had to build a machine.\n# TYPE hmmd_machine_pool_misses_total counter\nhmmd_machine_pool_misses_total %d\n", pool.Misses)
-	fmt.Fprintf(&sb, "# HELP hmmd_machine_pool_size Idle warm machines currently pooled.\n# TYPE hmmd_machine_pool_size gauge\nhmmd_machine_pool_size %d\n", pool.Size)
 
 	if cl != nil {
 		live := 0

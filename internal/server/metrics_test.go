@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"hypermm"
 	"hypermm/internal/cluster"
 )
 
@@ -30,7 +29,7 @@ func TestMetricsRender(t *testing.T) {
 		},
 		Dispatched: 15, Completed: 13, Failovers: 1, BusyRetries: 2,
 	}
-	out := m.Render(7, 2, 5, hypermm.PoolStats{Hits: 11, Misses: 4, Size: 3}, cl, nil)
+	out := m.Render(7, 2, 5, cl, nil)
 	for _, want := range []string{
 		"hmmd_queue_depth 3",
 		"hmmd_inflight_jobs 1",
@@ -41,9 +40,6 @@ func TestMetricsRender(t *testing.T) {
 		"hmmd_plan_cache_hits_total 7",
 		"hmmd_plan_cache_misses_total 2",
 		"hmmd_plan_cache_entries 5",
-		"hmmd_machine_pool_hits_total 11",
-		"hmmd_machine_pool_misses_total 4",
-		"hmmd_machine_pool_size 3",
 		"hmmd_calibration_loaded 1",
 		"hmmd_job_latency_seconds_count 3",
 		`hmmd_job_latency_quantile_seconds{q="0.5"}`,
@@ -65,8 +61,12 @@ func TestMetricsRender(t *testing.T) {
 		}
 	}
 
+	// Every job runs on a fresh machine: no machine-pool family.
+	if strings.Contains(out, "hmmd_machine_pool") {
+		t.Error("metrics output still renders a machine-pool series")
+	}
 	// Standalone serving renders no cluster family at all.
-	if plain := m.Render(7, 2, 5, hypermm.PoolStats{}, nil, nil); strings.Contains(plain, "hmmd_cluster_") {
+	if plain := m.Render(7, 2, 5, nil, nil); strings.Contains(plain, "hmmd_cluster_") {
 		t.Error("nil cluster stats still rendered a cluster metric")
 	}
 }

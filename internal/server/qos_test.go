@@ -39,7 +39,7 @@ func twoTenantConfig(t *testing.T) *qos.Config {
 // server.New wires it.
 func qosScheduler(t *testing.T, workers, depth int, cfg *qos.Config, m *Metrics) *Scheduler {
 	t.Helper()
-	s := NewScheduler(workers, depth, nil, m)
+	s := NewScheduler(workers, depth, m)
 	s.reg = qos.NewRegistry(cfg, nil)
 	return s
 }

@@ -98,7 +98,6 @@ type task struct {
 type Scheduler struct {
 	stopped chan struct{} // closed when every worker has exited
 	metrics *Metrics
-	pool    *hypermm.MachinePool // warm machines; nil falls back to cold runs
 
 	mu       sync.Mutex // guards queue, draining; cond is signalled under it
 	cond     *sync.Cond // wakes workers on push, release, and drain
@@ -129,10 +128,9 @@ type Scheduler struct {
 }
 
 // NewScheduler starts workers goroutines consuming a priority queue of
-// depth queueDepth (both forced to at least 1). Jobs execute on
-// machines checked out of pool; a nil pool builds a cold machine per
-// job.
-func NewScheduler(workers, queueDepth int, pool *hypermm.MachinePool, m *Metrics) *Scheduler {
+// depth queueDepth (both forced to at least 1). Each job runs on a
+// freshly built machine.
+func NewScheduler(workers, queueDepth int, m *Metrics) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
@@ -142,7 +140,6 @@ func NewScheduler(workers, queueDepth int, pool *hypermm.MachinePool, m *Metrics
 	s := &Scheduler{
 		stopped: make(chan struct{}),
 		metrics: m,
-		pool:    pool,
 		queue:   qos.NewQueue(queueDepth),
 		reg:     qos.NewRegistry(nil, nil),
 	}
@@ -379,12 +376,8 @@ func (s *Scheduler) execute(t *task) {
 			Class:    t.job.Class.String(),
 			Priority: int(t.job.Class),
 		}, t.job.Plan.Algorithm, t.job.Cfg, t.job.A, t.job.B)
-	case t.job.Trace && s.pool != nil:
-		res, tr, err = s.pool.RunOnTraced(t.job.Plan.Algorithm, t.job.Cfg, t.job.A, t.job.B)
 	case t.job.Trace:
 		res, tr, err = hypermm.RunTraced(t.job.Plan.Algorithm, t.job.Cfg, t.job.A, t.job.B)
-	case s.pool != nil:
-		res, err = s.pool.RunOn(t.job.Plan.Algorithm, t.job.Cfg, t.job.A, t.job.B)
 	default:
 		res, err = hypermm.Run(t.job.Plan.Algorithm, t.job.Cfg, t.job.A, t.job.B)
 	}

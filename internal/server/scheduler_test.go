@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -25,44 +26,54 @@ func testJob(t *testing.T) Job {
 	}
 }
 
+// TestSchedulerRunsJob pins both local execution paths to the library:
+// a plain job and a traced job each return, bit for bit, the product,
+// makespan and counters of a direct hypermm.Run on a fresh machine, and
+// the traced one also returns a non-empty timeline.
 func TestSchedulerRunsJob(t *testing.T) {
 	m := NewMetrics()
-	pool := hypermm.NewMachinePool(2)
-	defer pool.Close()
-	s := NewScheduler(2, 4, pool, m)
-	job := testJob(t)
-	job.Verify = true
-	r, err := s.Submit(context.Background(), job)
+	s := NewScheduler(2, 4, m)
+	ref := testJob(t)
+	want, err := hypermm.Run(ref.Plan.Algorithm, ref.Cfg, ref.A, ref.B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Res == nil || r.Res.Elapsed <= 0 {
-		t.Fatal("no simulated result")
+	for _, traced := range []bool{false, true} {
+		job := testJob(t)
+		job.Verify = true
+		job.Trace = traced
+		r, err := s.Submit(context.Background(), job)
+		if err != nil {
+			t.Fatalf("trace=%v: %v", traced, err)
+		}
+		if r.Res == nil || r.Res.Elapsed <= 0 {
+			t.Fatalf("trace=%v: no simulated result", traced)
+		}
+		if r.Ratio <= 0.5 || r.Ratio >= 2 {
+			t.Errorf("trace=%v: sim/predicted ratio %g looks wrong", traced, r.Ratio)
+		}
+		if math.Float64bits(r.Res.Elapsed) != math.Float64bits(want.Elapsed) || r.Res.Comm != want.Comm {
+			t.Errorf("trace=%v: served Elapsed %g, Comm %+v; hypermm.Run gives %g, %+v",
+				traced, r.Res.Elapsed, r.Res.Comm, want.Elapsed, want.Comm)
+		}
+		if c := r.Res.C; c.Rows != want.C.Rows || c.Cols != want.C.Cols || !sameFloats(c.Data, want.C.Data) {
+			t.Errorf("trace=%v: served product differs from hypermm.Run's", traced)
+		}
+		switch {
+		case !traced && r.Trace != nil:
+			t.Error("trace=false: the job returned a trace")
+		case traced && (r.Trace == nil || len(r.Trace.TimelineEvents()) == 0):
+			t.Error("trace=true: the job returned no timeline events")
+		}
 	}
-	if r.Ratio <= 0.5 || r.Ratio >= 2 {
-		t.Errorf("sim/predicted ratio %g looks wrong", r.Ratio)
-	}
-	if jobs := m.Jobs(); jobs["3dall"] != 1 {
-		t.Errorf("jobs counter = %v, want 3dall:1", jobs)
-	}
-	// A second identical job reuses the warm machine and must report the
-	// same simulated makespan bit for bit.
-	r2, err := s.Submit(context.Background(), testJob(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Res.Elapsed != r.Res.Elapsed {
-		t.Errorf("warm rerun Elapsed %g != first run %g", r2.Res.Elapsed, r.Res.Elapsed)
-	}
-	st := pool.Stats()
-	if st.Hits < 1 || st.Misses < 1 {
-		t.Errorf("pool stats after warm rerun look wrong: %+v", st)
+	if jobs := m.Jobs(); jobs["3dall"] != 2 {
+		t.Errorf("jobs counter = %v, want 3dall:2", jobs)
 	}
 }
 
 func TestSchedulerSaturationAndDrain(t *testing.T) {
 	m := NewMetrics()
-	s := NewScheduler(1, 1, nil, m)
+	s := NewScheduler(1, 1, m)
 	hold := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	s.onExec = func() {
@@ -128,7 +139,7 @@ func TestSchedulerSaturationAndDrain(t *testing.T) {
 
 func TestSchedulerCanceledBeforeStart(t *testing.T) {
 	m := NewMetrics()
-	s := NewScheduler(1, 2, nil, m)
+	s := NewScheduler(1, 2, m)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Submit(ctx, testJob(t)); !errors.Is(err, context.Canceled) {
@@ -138,7 +149,7 @@ func TestSchedulerCanceledBeforeStart(t *testing.T) {
 
 func TestSchedulerFaultErrors(t *testing.T) {
 	m := NewMetrics()
-	s := NewScheduler(1, 2, nil, m)
+	s := NewScheduler(1, 2, m)
 
 	job := testJob(t)
 	job.Cfg.Faults = &hypermm.FaultPlan{Seed: 1, Drop: 1, MaxRetries: 2}

@@ -3,7 +3,6 @@ package hypermm
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"hypermm/internal/simnet"
 )
@@ -20,9 +19,9 @@ import (
 // by the poolequiv conformance oracle) and evicts least-recently-used
 // idle machines beyond the capacity bound.
 //
-// Per-run configuration that does not shape the machine — fault plans,
-// deadlines, tracing — is applied at checkout and stripped at return,
-// so one warm machine serves faulted and clean runs alike.
+// Per-run configuration that does not shape the machine — fault plans
+// and deadlines — is applied at checkout and stripped at return, so one
+// warm machine serves faulted and clean runs alike.
 //
 // A MachinePool is safe for concurrent use. Runs on distinct checked-out
 // machines proceed in parallel; a machine is never shared by two runs.
@@ -35,7 +34,6 @@ type MachinePool struct {
 	misses    int64
 	evictions int64
 	closed    bool
-	observe   func(hit bool, wait time.Duration) // nil: no checkout observer
 }
 
 // poolKey is the machine-shaping part of a Config: two configs with the
@@ -81,17 +79,6 @@ func (p *MachinePool) Stats() PoolStats {
 	return PoolStats{Hits: p.hits, Misses: p.misses, Evictions: p.evictions, Size: p.order.Len()}
 }
 
-// SetObserver registers fn to run after every checkout with whether a
-// warm machine was reused and how long the checkout took (lock wait
-// plus machine construction on a miss) — the hook behind the serving
-// tier's hmmd_stage_seconds{stage="pool_checkout"} histogram. One
-// observer; nil clears it. Set before the pool sees concurrent use.
-func (p *MachinePool) SetObserver(fn func(hit bool, wait time.Duration)) {
-	p.mu.Lock()
-	p.observe = fn
-	p.mu.Unlock()
-}
-
 // RunOn is Run on a pooled machine: it checks a warm machine out (or
 // builds one on a miss), runs the multiplication, and returns the
 // machine to the pool. Results — product bytes, simulated Elapsed,
@@ -109,20 +96,6 @@ func (p *MachinePool) RunOn(alg Algorithm, cfg Config, A, B *Matrix) (*Result, e
 	return runOn(m, run, A, B)
 }
 
-// RunOnTraced is RunTraced on a pooled machine.
-func (p *MachinePool) RunOnTraced(alg Algorithm, cfg Config, A, B *Matrix) (*Result, *Trace, error) {
-	run, err := alg.runner()
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := p.checkout(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer p.checkin(m)
-	return runTracedOn(m, run, A, B)
-}
-
 // checkout returns a machine matching cfg — warm when one is parked,
 // freshly built otherwise — with cfg's per-run fields (faults, deadline)
 // applied. The caller must hand the machine back with checkin.
@@ -131,7 +104,6 @@ func (p *MachinePool) checkout(cfg Config) (*simnet.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	key := poolKey{p: cfg.P, ports: cfg.Ports, ts: cfg.Ts, tw: cfg.Tw, tc: cfg.Tc}
 	p.mu.Lock()
 	var m *simnet.Machine
@@ -144,17 +116,12 @@ func (p *MachinePool) checkout(cfg Config) (*simnet.Machine, error) {
 	} else {
 		p.misses++
 	}
-	observe := p.observe
 	p.mu.Unlock()
-	hit := m != nil
 	if m == nil {
 		m = simnet.NewMachine(sc)
 	}
 	m.Cfg.Faults = sc.Faults
 	m.Cfg.Deadline = sc.Deadline
-	if observe != nil {
-		observe(hit, time.Since(start))
-	}
 	return m, nil
 }
 
@@ -165,7 +132,6 @@ func (p *MachinePool) checkout(cfg Config) (*simnet.Machine, error) {
 func (p *MachinePool) checkin(m *simnet.Machine) {
 	m.Cfg.Faults = nil
 	m.Cfg.Deadline = 0
-	m.Cfg.Trace = nil
 	key := poolKey{p: m.Cfg.P, ports: PortModel(m.Cfg.Ports), ts: m.Cfg.Ts, tw: m.Cfg.Tw, tc: m.Cfg.Tc}
 	p.mu.Lock()
 	if p.closed {

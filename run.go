@@ -49,8 +49,8 @@ func Run(alg Algorithm, cfg Config, A, B *Matrix) (*Result, error) {
 }
 
 // runOn executes one multiplication on an existing machine — freshly
-// built by Run or checked out warm by MachinePool.RunOn; the two paths
-// produce identical results.
+// built by Run and RunTraced, or checked out warm by MachinePool.RunOn;
+// the paths produce identical results.
 func runOn(m *simnet.Machine, run cost.Runner, A, B *Matrix) (*Result, error) {
 	c, rs, err := run(m, A.internal(), B.internal())
 	if err != nil {

@@ -3,7 +3,6 @@ package hypermm
 import (
 	"io"
 
-	"hypermm/internal/cost"
 	"hypermm/internal/simnet"
 	"hypermm/internal/trace"
 )
@@ -25,15 +24,9 @@ func RunTraced(alg Algorithm, cfg Config, A, B *Matrix) (*Result, *Trace, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	return runTracedOn(simnet.NewMachine(sc), run, A, B)
-}
-
-// runTracedOn is runOn with event tracing attached to the machine for
-// the duration of the run (MachinePool strips the trace at return).
-func runTracedOn(m *simnet.Machine, run cost.Runner, A, B *Matrix) (*Result, *Trace, error) {
 	log := trace.New()
-	m.Cfg.Trace = log
-	res, err := runOn(m, run, A, B)
+	sc.Trace = log
+	res, err := runOn(simnet.NewMachine(sc), run, A, B)
 	if err != nil {
 		return nil, nil, err
 	}
