@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run XXX -fuzz FuzzTraceContext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run XXX -fuzz FuzzQoSConfigParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run XXX -fuzz FuzzDecodeMatmul -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run XXX -fuzz FuzzWriteMatmul -fuzztime $(FUZZTIME)
 
 # Differential verification under fault injection: the conformance
 # catalogue's differential oracle alone; deterministic for a fixed -seed.

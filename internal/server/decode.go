@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -10,15 +12,16 @@ import (
 // zero. The inline operands are nearly all of an inline body (two
 // 36,864-number arrays at n = 192, ~1.5 MB), so one pass over the
 // top-level object parses flat "a"/"b" number arrays straight into
-// exactly sized slices; the other members are copied into a small
-// remainder that json.Unmarshal decodes, which keeps the standard
-// semantics for every small field (case-folded keys, unknown fields,
-// null, type errors). Whatever that pass does not handle — an escaped key, an
-// "A"/"B" key, a duplicate operand, a non-array, nested or non-numeric
-// element, a number outside the JSON grammar or out of float64 range,
-// bytes after the object — makes it decline, and the reference decoder
-// decodes the whole body instead: every error, and its text, comes
-// from there.
+// exactly sized slices, each number converted exactly by parseNumber
+// (without strconv for up to 19 significant digits); the other members
+// are copied into a small remainder that json.Unmarshal decodes, which
+// keeps the standard semantics for every small field (case-folded
+// keys, unknown fields, null, type errors). Whatever that pass does
+// not handle — an escaped key, an "A"/"B" key, a duplicate operand, a
+// non-array, nested or non-numeric element, a number outside the JSON
+// grammar or out of float64 range, bytes after the object — makes it
+// decline, and the reference decoder decodes the whole body instead:
+// every error, and its text, comes from there.
 func decodeMatmul(body []byte, req *MatmulRequest) error {
 	if decodeMatmulFast(body, req) {
 		return nil
@@ -158,13 +161,28 @@ func parseFloats(body []byte, i int) ([]float64, int, bool) {
 var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
+// pow10 holds 10^k for k <= 19, the powers of ten below 2^64, and
+// pow5 holds 5^k for k <= 27, the powers of five below 2^63.
+var pow10, pow5 = func() (p10 [20]uint64, p5 [28]uint64) {
+	p10[0], p5[0] = 1, 1
+	for k := 1; k < len(p5); k++ {
+		if k < len(p10) {
+			p10[k] = 10 * p10[k-1]
+		}
+		p5[k] = 5 * p5[k-1]
+	}
+	return p10, p5
+}()
+
 // parseNumber parses the JSON number starting at body[i]
 // (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) and returns its
 // value and end; ok is false if no number starts there or it is out of
-// float64 range. A mantissa of at most 2^53 scaled by at most 10^±22 —
-// two-thirds of the 16–17-digit numbers a random operand prints as —
-// is one correctly rounded float64 operation (strconv's own exact
-// path); every other number goes to strconv.ParseFloat.
+// float64 range. The literal is read as m·10^e with m its significant
+// digits. A mantissa of at most 2^53 scaled by at most 10^±22 is one
+// correctly rounded float64 operation (strconv's own exact path); any
+// other m of at most 19 digits with e in [-27, 19] — every 17-digit
+// number a random operand prints — takes mulPow10's exact integer
+// path; only the rest go to strconv.ParseFloat.
 func parseNumber(body []byte, i int) (v float64, end int, ok bool) {
 	start := i
 	neg := i < len(body) && body[i] == '-'
@@ -227,20 +245,67 @@ func parseNumber(body []byte, i int) (v float64, end int, ok bool) {
 		}
 		exp += e
 	}
-	if digits <= 19 && mant <= 1<<53 && -22 <= exp && exp <= 22 {
+	switch {
+	case digits <= 19 && mant <= 1<<53 && -22 <= exp && exp <= 22:
 		v = float64(mant)
 		if exp >= 0 {
 			v *= exactPow10[exp]
 		} else {
 			v /= exactPow10[-exp]
 		}
-		if neg {
-			v = -v
-		}
-		return v, i, true
+	case digits <= 19 && mant != 0 && -27 <= exp && exp <= 19:
+		v = mulPow10(mant, exp)
+	default:
+		v, err := strconv.ParseFloat(string(body[start:i]), 64)
+		return v, i, err == nil
 	}
-	v, err := strconv.ParseFloat(string(body[start:i]), 64)
-	return v, i, err == nil
+	if neg {
+		v = -v
+	}
+	return v, i, true
+}
+
+// mulPow10 returns m·10^e correctly rounded (half to even), for
+// 1 <= m < 10^19 and -27 <= e <= 19. It first forms a 64-bit x with
+// its top bit set and a sticky flag such that m·10^e lies in
+// [x, x+1)·2^s, and in (x, x+1)·2^s exactly when sticky:
+//   - e >= 0: 10^e < 2^64, so m·10^e is the exact 128-bit product,
+//     normalized; sticky is whether any bit shifted out was set.
+//   - e < 0: m·10^e = m·2^e / 5^-e with 5^-e < 2^63. Dividing m
+//     normalized to 64 bits, times 2^(L-1) for L the bit length of
+//     5^-e, by 5^-e gives a quotient in [2^62, 2^64) (the high word
+//     stays below the divisor, as bits.Div64 needs); sticky is a
+//     nonzero remainder.
+//
+// Rounding x to 53 bits once, with its low 11 bits as round and sticky
+// bits, is then exact; every value in range is a normal float64
+// (1e-27 to below 1e38), so the power-of-two scaling loses nothing.
+func mulPow10(m uint64, e int) float64 {
+	var x uint64
+	var sticky bool
+	var s int
+	if e >= 0 {
+		hi, lo := bits.Mul64(m, pow10[e])
+		if hi == 0 {
+			n := bits.LeadingZeros64(lo)
+			x, s = lo<<n, -n
+		} else {
+			n := bits.LeadingZeros64(hi)
+			x, sticky, s = hi<<n|lo>>(64-n), lo<<n != 0, 64-n
+		}
+	} else {
+		d := pow5[-e]
+		n := bits.LeadingZeros64(m)
+		l := 63 - bits.LeadingZeros64(d) // L-1, in [2, 62]
+		q, r := bits.Div64(m<<n>>(64-l), m<<n<<l, d)
+		k := bits.LeadingZeros64(q) // 0 or 1
+		x, sticky, s = q<<k, r != 0, e-n-l-k
+	}
+	mant := x >> 11
+	if rest := x & (1<<11 - 1); rest > 1<<10 || rest == 1<<10 && (sticky || mant&1 == 1) {
+		mant++ // may reach 2^53, which float64 still holds exactly
+	}
+	return math.Ldexp(float64(mant), s+11)
 }
 
 // skipSpace returns the index of the first non-whitespace byte at or

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"math/big"
+	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"hypermm"
@@ -122,6 +127,120 @@ func TestDecodeMatmulFastPath(t *testing.T) {
 	}
 }
 
+// hardLiterals are numbers at the edges of parseNumber's paths:
+// rounding ties between adjacent doubles, the 19/20-digit and
+// exponent limits of the integer path, and zero and exponent forms.
+var hardLiterals = []string{
+	"9007199254740993", "9007199254740995", "-9007199254740993", // 2^53+1, +3: ties
+	"4503599627370496.5", "4503599627370497.5", "45035996273704965e-1", // ties at 17 digits
+	"144115188075855888", "144115188075855889", "144115188075855887", // 2^57+16: an 18-digit tie
+	"1152921504606847104", "1152921504606847360", "1152921504606847103", "1152921504606847361", // 19-digit ties, ±1
+	"9223372036854775807", "9223372036854775808", "18446744073709551615", "18446744073709551616",
+	"9999999999999999999", "99999999999999999999", "12345678901234567890", "1000000000000000000000",
+	"1e-27", "1e-28", "1234567890123456789e-27", "1234567890123456789e-28", "0.1234567890123456789e-8",
+	"9999999999999999999e19", "9999999999999999999e20", "1e19", "1e20", "1e22", "1e23",
+	"12345678901234567e19", "12345678901234567e20", "12345678901234567e22", "12345678901234567e23",
+	"9007199254740993e22", "9007199254740993e23", "9007199254740993e-22", "9007199254740993e-23",
+	"0.30000000000000004", "0.1", "0.7", "2.2250738585072014e-308", "1.7976931348623157e308", "4.9e-324",
+	"-0", "-0.0", "0e-30", "-0e25", "0.000000000000000000000000000001", "0.00000000000000000000012345678901234567",
+	"1E+5", "1e+05", "-1.5E-5", "123456789012345678.9", "0.99999999999999999999",
+}
+
+func TestParseNumberHardLiterals(t *testing.T) {
+	for _, lit := range hardLiterals {
+		checkParse(t, lit)
+	}
+}
+
+// checkParse compares parseNumber on lit with strconv.ParseFloat, bit
+// for bit.
+func checkParse(t *testing.T, lit string) {
+	t.Helper()
+	want, err := strconv.ParseFloat(lit, 64)
+	got, end, ok := parseNumber([]byte(lit), 0)
+	if !ok || end != len(lit) || err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("parseNumber(%s) = %v (%x), end %d, ok %v; ParseFloat: %v (%x), %v",
+			lit, got, math.Float64bits(got), end, ok, want, math.Float64bits(want), err)
+	}
+}
+
+// TestParseNumberDifferential holds parseNumber, and mulPow10 alone on
+// its whole range, to strconv.ParseFloat on a million seeded m·10^e
+// with 1 to 20 digits and e in [-30, 23], printed in integer,
+// fractional and exponent forms, and on ties between adjacent doubles
+// and decimals within a 19-digit rounding of those ties.
+func TestParseNumberDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	var buf []byte
+	for range 1_000_000 {
+		digits := 1 + rng.Intn(20)
+		m := uint64(rng.Int63n(9) + 1)
+		for range digits - 1 {
+			m = m*10 + uint64(rng.Intn(10))
+		}
+		e := rng.Intn(54) - 30
+		if digits <= 19 && -27 <= e && e <= 19 {
+			got, want := mulPow10(m, e), float64FromDecimal(m, e)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("mulPow10(%d, %d) = %v, ParseFloat %v", m, e, got, want)
+			}
+		}
+		buf = strconv.AppendUint(buf[:0], m, 10)
+		switch rng.Intn(3) {
+		case 0: // m e<e>
+			buf = strconv.AppendInt(append(buf, 'e'), int64(e), 10)
+		case 1: // a decimal point inside the digits, the exponent adjusted
+			if k := len(buf); k > 1 {
+				dot := 1 + rng.Intn(k-1)
+				buf = append(buf[:dot], append([]byte{'.'}, buf[dot:]...)...)
+				e += k - dot
+			}
+			buf = append(buf, "eE"[rng.Intn(2)])
+			if e >= 0 && rng.Intn(2) == 0 {
+				buf = append(buf, '+')
+			}
+			buf = strconv.AppendInt(buf, int64(e), 10)
+		default: // 0.<zeros><digits>
+			buf = append(append([]byte("-0."), bytes.Repeat([]byte{'0'}, rng.Intn(12))...), buf...)
+		}
+		checkParse(t, string(buf))
+	}
+	// Ties (2^53+2j+1)·2^(t-1) have at most 19 digits for t in
+	// [-2, 3]: exact ties, one unit either side, and decimals within
+	// 10^-19 of a tie anywhere in the integer path's range.
+	for range 20_000 {
+		mid := 1<<53 | uint64(rng.Int63n(1<<52))<<1 | 1
+		var lit string
+		if sh := rng.Intn(6) - 2; sh <= 0 {
+			lit = new(big.Float).SetMantExp(new(big.Float).SetUint64(mid), sh-1).Text('f', 1-sh)
+		} else {
+			lit = strconv.FormatUint(mid<<sh>>1, 10)
+		}
+		checkParse(t, lit)
+		m, _ := strconv.ParseUint(strings.ReplaceAll(lit, ".", ""), 10, 64)
+		e := strings.Index(lit, ".") - len(lit) + 1
+		if !strings.Contains(lit, ".") {
+			e = 0
+		}
+		checkParse(t, strconv.FormatUint(m-1, 10)+"e"+strconv.Itoa(e))
+		checkParse(t, strconv.FormatUint(m+1, 10)+"e"+strconv.Itoa(e))
+
+		x := math.Ldexp(float64(1<<52|rng.Int63n(1<<52)), rng.Intn(140)-90-52)
+		tie := new(big.Float).SetPrec(256).SetFloat64(x)
+		tie.Add(tie, new(big.Float).SetMantExp(big.NewFloat(1), math.Ilogb(x)-53))
+		checkParse(t, tie.Text('e', 18))
+	}
+}
+
+// float64FromDecimal is m·10^e by strconv.ParseFloat.
+func float64FromDecimal(m uint64, e int) float64 {
+	v, err := strconv.ParseFloat(strconv.FormatUint(m, 10)+"e"+strconv.Itoa(e), 64)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // FuzzDecodeMatmul holds the single pass to the reference decoder:
 // whatever body it accepts, the reference accepts too and decodes to
 // the same request, operands bit for bit. (Every body it declines is
@@ -134,6 +253,8 @@ func FuzzDecodeMatmul(f *testing.F) {
 	for _, c := range decodeCases {
 		f.Add([]byte(c.body))
 	}
+	f.Add([]byte(`{"a":[12345678901234567,-0.12345678901234567,1234567890123456789e-27,-9999999999999999999e19]}`))
+	f.Add([]byte(`{"b":[1152921504606847104,4503599627370496.5,123456789012345678e-28,123456789012345678e20],"n":1}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var fast MatmulRequest
 		if !decodeMatmulFast(body, &fast) {

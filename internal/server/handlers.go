@@ -321,9 +321,96 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		status = http.StatusInternalServerError
 		b, _ = json.Marshal(apiError{Error: err.Error()}) // a string always encodes
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, status, b)
+}
+
+var newline = []byte{'\n'}
+
+// writeBody sends the JSON value b and a newline, with a Content-Length
+// so that a large reply is not sent chunked, and without copying b to
+// append the newline.
+func writeBody(w http.ResponseWriter, status int, b []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)+1))
 	w.WriteHeader(status)
-	_, _ = w.Write(append(b, '\n')) // a failed write means the client left; nobody to tell
+	// A failed write means the client left; nobody to tell.
+	if _, err := w.Write(b); err == nil {
+		_, _ = w.Write(newline)
+	}
+}
+
+// writeMatmul sends a /v1/matmul reply, byte for byte what writeJSON
+// sends. A reply without the product goes through writeJSON; one with
+// it is marshalMatmul's single buffer.
+func writeMatmul(w http.ResponseWriter, resp *MatmulResponse) {
+	if len(resp.C) == 0 {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	b, err := marshalMatmul(resp)
+	if err != nil {
+		writeJSON(w, http.StatusOK, resp) // the same error, as writeJSON answers it
+		return
+	}
+	writeBody(w, http.StatusOK, b)
+}
+
+// maxFloatLen is the longest float64 appendFloat writes:
+// "-0.0000012345678901234567".
+const maxFloatLen = 25
+
+// marshalMatmul is json.Marshal(resp) for a reply carrying the finite
+// product C, without reflection over C. The other members go through
+// json.Marshal, with C and the members after it (Gantt, TraceSum)
+// cleared; C and then the non-empty strings are spliced in before the
+// closing brace, into one buffer sized from len(C) so it never grows.
+func marshalMatmul(resp *MatmulResponse) ([]byte, error) {
+	head := *resp
+	head.C, head.Gantt, head.TraceSum = nil, "", ""
+	hb, err := json.Marshal(&head)
+	if err != nil {
+		return nil, err
+	}
+	var gantt, sum []byte // a string always encodes
+	if resp.Gantt != "" {
+		gantt, _ = json.Marshal(resp.Gantt)
+	}
+	if resp.TraceSum != "" {
+		sum, _ = json.Marshal(resp.TraceSum)
+	}
+	const keys = len(`,"c":[]`) + len(`,"gantt":`) + len(`,"trace_summary":`)
+	b := make([]byte, 0, len(hb)+keys+len(resp.C)*(maxFloatLen+1)+len(gantt)+len(sum))
+	b = append(append(b, hb[:len(hb)-1]...), `,"c":[`...)
+	for i, x := range resp.C {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(b, x)
+	}
+	b = append(b, ']')
+	if gantt != nil {
+		b = append(append(b, `,"gantt":`...), gantt...)
+	}
+	if sum != nil {
+		b = append(append(b, `,"trace_summary":`...), sum...)
+	}
+	return append(b, '}'), nil
+}
+
+// appendFloat appends the finite x as encoding/json writes a float64:
+// shortest digits, in 'f' format unless |x| < 1e-6 or |x| >= 1e21, and
+// an 'e' exponent without a leading zero (1e-07 → 1e-7).
+func appendFloat(b []byte, x float64) []byte {
+	if a := math.Abs(x); a == 0 || 1e-6 <= a && a < 1e21 {
+		return strconv.AppendFloat(b, x, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, x, 'e', -1, 64)
+	if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // maxBody bounds a /v1/matmul body: two inline MaxN x MaxN operands at
@@ -601,7 +688,7 @@ func (s *Server) handleMatmul(w http.ResponseWriter, r *http.Request) {
 		resp.Gantt = jr.Trace.Gantt(100)
 		resp.TraceSum = jr.Trace.Summary()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeMatmul(w, &resp)
 }
 
 // operands builds A and B from inline data or the request seed. Seeded

@@ -184,12 +184,11 @@ func NewMachine(cfg Config) *Machine {
 	for id := range m.nodes {
 		n := &nodes[id]
 		*n = Node{
-			ID:       id,
-			m:        m,
-			waitSrc:  -1,
-			sendPort: ports[2*id*np : (2*id+1)*np : (2*id+1)*np],
-			recvPort: ports[(2*id+1)*np : (2*id+2)*np : (2*id+2)*np],
-			pending:  pending[2*id : 2*id : 2*id+2],
+			ID:      id,
+			m:       m,
+			waitSrc: -1,
+			ports:   ports[2*id*np : (2*id+2)*np : (2*id+2)*np],
+			pending: pending[2*id : 2*id : 2*id+2],
 		}
 		m.nodes[id] = n
 	}
@@ -202,17 +201,22 @@ func (m *Machine) Node(id int) *Node { return m.nodes[id] }
 // P returns the number of processors.
 func (m *Machine) P() int { return m.Cfg.P }
 
-// NodeStats is a snapshot of one node's counters.
+// NodeStats is a snapshot of one node at the end of a run.
 type NodeStats struct {
-	ID        int
-	Clock     float64 // local logical time at program end
-	Msgs      int64   // messages sent
-	Words     int64   // payload words sent (end to end)
-	Startups  int64   // per-hop start-ups charged to this sender
-	WordHops  int64   // payload words times hops
-	Flops     int64   // floating-point operations executed
-	Retries   int64   // lost transmission attempts recovered by retry
-	PeakWords int     // largest NoteWords() observation (space accounting)
+	ID    int
+	Clock float64 // local logical time at program end
+	Counters
+}
+
+// Counters are the totals a node accumulates during a run.
+type Counters struct {
+	Msgs      int64 // messages sent
+	Words     int64 // payload words sent (end to end)
+	Startups  int64 // per-hop start-ups charged to this sender
+	WordHops  int64 // payload words times hops
+	Flops     int64 // floating-point operations executed
+	Retries   int64 // lost transmission attempts recovered by retry
+	PeakWords int   // largest NoteWords() observation (space accounting)
 }
 
 // RunStats aggregates a completed run.
@@ -247,8 +251,7 @@ func (m *Machine) collect() RunStats {
 	var rs RunStats
 	rs.Nodes = make([]NodeStats, len(m.nodes))
 	for i, n := range m.nodes {
-		s := n.st
-		s.Clock = n.now
+		s := NodeStats{ID: n.ID, Clock: n.now, Counters: n.st}
 		rs.Nodes[i] = s
 		rs.Elapsed = max(rs.Elapsed, s.Clock)
 		rs.TotalMsgs += s.Msgs
@@ -270,8 +273,7 @@ type Node struct {
 	m  *Machine
 
 	now      float64   // local logical clock
-	sendPort []float64 // per-dimension outgoing port busy-until (multi-port)
-	recvPort []float64 // per-dimension incoming port busy-until (multi-port)
+	ports    []float64 // multi-port busy-until per dimension: outgoing, then incoming
 	sendBusy float64   // single outgoing port busy-until (one-port)
 	recvBusy float64   // single incoming port busy-until (one-port)
 
@@ -289,16 +291,14 @@ type Node struct {
 	co   coroutine // the node program's coroutine during a run
 	done chan any  // a handed-off product's outcome: nil, or its panic
 
-	st NodeStats // the node's counters; Clock is filled in by collect
+	st Counters // the node's counters during a run
 }
 
 func (n *Node) reset() {
 	n.now, n.sendBusy, n.recvBusy = 0, 0, 0
-	for d := range n.sendPort {
-		n.sendPort[d], n.recvPort[d] = 0, 0
-	}
+	clear(n.ports)
 	n.waitSrc = -1
-	n.st = NodeStats{ID: n.ID}
+	n.st = Counters{}
 }
 
 // dropPending releases every message an aborted run, or a program that
@@ -513,7 +513,7 @@ func (n *Node) sendStart(outDim int) float64 {
 	if n.m.Cfg.Ports == OnePort {
 		return max(n.now, n.sendBusy)
 	}
-	return max(n.now, n.sendPort[outDim])
+	return max(n.now, n.ports[outDim])
 }
 
 // occupySend marks the outgoing path busy until t. A one-port node's
@@ -525,7 +525,7 @@ func (n *Node) occupySend(outDim int, t float64) {
 		n.sendBusy = t
 		n.now = t
 	} else {
-		n.sendPort[outDim] = t
+		n.ports[outDim] = t
 	}
 }
 
@@ -559,7 +559,7 @@ func (n *Node) recv(src int, tag uint64) *Msg {
 	c := n.cost(len(msg.Data), int(msg.hops))
 	port := &n.recvBusy // one-port: the single receive port
 	if n.m.Cfg.Ports == MultiPort {
-		port = &n.recvPort[msg.inDim]
+		port = &n.ports[len(n.ports)/2+int(msg.inDim)]
 	}
 	arrival := max(msg.depart, *port) + c
 	*port = arrival
